@@ -93,13 +93,17 @@ echo "== forensic replay gate =="
 # Deterministic replay of the incident bundle captured above: rebuild
 # the artifacts at the pinned generation(s) from the recorded seed,
 # re-classify every captured window, and gate on a byte-identical
-# verdict digest (replay exits non-zero on any divergence). The v2
-# bundle embeds the promoted flagged stage traces; replay round-trips
-# them and reports the count — the burst guarantees at least one.
+# verdict digest (replay exits non-zero on any divergence). The bundle
+# embeds the promoted flagged stage traces; replay round-trips them and
+# reports the count — the burst guarantees at least one. Replay also
+# re-scores every window's critic value and exits non-zero unless each
+# recorded value is bit-equal; it reports how many it checked.
 ./target/release/replay "$TRACE_DIR/incident.json" --explain 4 \
     | tee "$TRACE_DIR/replay.out"
 grep -Eq '^REPLAY_TRACES [1-9]' "$TRACE_DIR/replay.out" \
-    || { echo "ERROR: replayed v2 bundle embeds no stage traces" >&2; exit 1; }
+    || { echo "ERROR: replayed bundle embeds no stage traces" >&2; exit 1; }
+grep -Eq '^REPLAY_SCORES [1-9]' "$TRACE_DIR/replay.out" \
+    || { echo "ERROR: replay checked no recorded critic values" >&2; exit 1; }
 
 echo "== hermeticity: dependency tree must be workspace-only =="
 if cargo tree --workspace --offline --prefix none | grep -v '^hmd' | grep -q '[a-z]'; then

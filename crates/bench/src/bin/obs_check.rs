@@ -17,9 +17,11 @@
 //! `--expect-incident` validates the forensic pipeline: the
 //! `hmd_serving_incidents_total` counter must be ≥ 1, the `/incidents`
 //! index must list at least one bundle, and the first bundle fetched
-//! from `/incidents/<id>.json` must carry the `hmd-incident-v2` schema
-//! with a non-empty window array. `--save-incident PATH` writes that
-//! bundle to disk so the `replay` binary can re-execute it.
+//! from `/incidents/<id>.json` must carry the current bundle schema
+//! (`hmd-incident-v3`: a traces array, and windows without per-model
+//! probabilities) with a non-empty window array. `--save-incident
+//! PATH` writes that bundle to disk so the `replay` binary can
+//! re-execute it.
 //!
 //! `--expect-history` validates `/history.json`: the tier shape
 //! (`fine_every`/`fold`), a non-empty merged fine tier, a per-shard
@@ -35,6 +37,7 @@ use std::net::{Shutdown, TcpStream};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use hmd::recorder::{BUNDLE_SCHEMA, TRACES_SCHEMA};
 use hmd_obs::validate_exposition;
 use hmd_util::json::Json;
 
@@ -223,17 +226,14 @@ fn check_incidents(args: &Args, page: &str) -> Result<(), String> {
     }
     let bundle =
         Json::parse(&body).map_err(|e| format!("/incidents/{id}.json is not valid JSON: {e:?}"))?;
-    match bundle.get("schema").and_then(Json::as_str) {
-        Some("hmd-incident-v2") => {
-            // v2 bundles must carry the traces array (may be empty if
-            // no flagged window was promoted before the fire edge)
-            if bundle.get("traces").and_then(Json::as_arr).is_none() {
-                return Err(format!("v2 bundle {id} is missing the traces array"));
-            }
-        }
-        // a replayed service could still serve pre-trace bundles
-        Some("hmd-incident-v1") => {}
-        other => return Err(format!("bundle {id} schema is {other:?}, want hmd-incident-v2")),
+    let schema = bundle.get("schema").and_then(Json::as_str);
+    if schema != Some(BUNDLE_SCHEMA) {
+        return Err(format!("bundle {id} schema is {schema:?}, want {BUNDLE_SCHEMA}"));
+    }
+    // the traces array may be empty if no flagged window was promoted
+    // before the fire edge, but it must be there
+    if bundle.get("traces").and_then(Json::as_arr).is_none() {
+        return Err(format!("bundle {id} is missing the traces array"));
     }
     let windows = bundle
         .get("windows")
@@ -241,6 +241,9 @@ fn check_incidents(args: &Args, page: &str) -> Result<(), String> {
         .ok_or_else(|| format!("bundle {id} is missing the windows array"))?;
     if windows.is_empty() {
         return Err(format!("bundle {id} holds no windows"));
+    }
+    if windows.iter().any(|w| w.get("model_probs").is_some()) {
+        return Err(format!("bundle {id} windows still carry model_probs"));
     }
     for field in ["verdict_digest", "config", "triggers", "monitor"] {
         if bundle.get(field).is_none() {
@@ -337,9 +340,9 @@ fn check_traces(args: &Args) -> Result<(), String> {
         return Err(format!("/traces.json returned {status}"));
     }
     let doc = Json::parse(&body).map_err(|e| format!("/traces.json is not valid JSON: {e:?}"))?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("hmd-traces-v1") => {}
-        other => return Err(format!("/traces.json schema is {other:?}, want hmd-traces-v1")),
+    let schema = doc.get("schema").and_then(Json::as_str);
+    if schema != Some(TRACES_SCHEMA) {
+        return Err(format!("/traces.json schema is {schema:?}, want {TRACES_SCHEMA}"));
     }
     let stages = doc
         .get("stages")

@@ -50,8 +50,12 @@ pub struct InferArena {
     critic: hmd_nn::InferScratch,
     /// One predict scratch per zoo model, indexed like the zoo.
     model_scratch: Vec<hmd_ml::PredictScratch>,
-    /// Critic values per batch row.
+    /// Critic values per batch row, left behind for the caller (the
+    /// flight recorder and the metrics history read them).
     values: Vec<f64>,
+    /// Wall-clock nanoseconds the last classify call spent in the
+    /// critic forward (whole call, not per row).
+    critic_ns: u64,
     /// Adversarial flags per batch row.
     flags: Vec<bool>,
     /// Packed unflagged rows awaiting the routed model.
@@ -71,6 +75,23 @@ impl InferArena {
     #[must_use]
     pub fn verdicts(&self) -> &[Verdict] {
         &self.verdicts
+    }
+
+    /// The critic values of the last [`AdaptiveDetector::classify_into`]
+    /// (one value) or [`AdaptiveDetector::classify_batch_into`] call, in
+    /// input order: the exact values the flag decisions were made on.
+    #[must_use]
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Wall-clock nanoseconds the last classify call spent in the
+    /// critic forward pass, for the whole call. The rest of the call
+    /// (quarantine pushes and the routed model) is the caller's total
+    /// minus this.
+    #[must_use]
+    pub fn critic_ns(&self) -> u64 {
+        self.critic_ns
     }
 
     /// The largest batch this arena was warmed up for.
@@ -196,8 +217,8 @@ impl AdaptiveDetector {
         Arc::clone(&self.predictor)
     }
 
-    /// The deployed adversarial predictor, for read-only scoring (the
-    /// flight recorder reads the raw critic value per served window).
+    /// The deployed adversarial predictor, for read-only scoring of
+    /// rows outside the classify paths.
     #[must_use]
     pub fn predictor(&self) -> &AdversarialPredictor {
         &self.predictor
@@ -390,6 +411,7 @@ impl AdaptiveDetector {
             critic: self.predictor.infer_scratch(max_batch),
             model_scratch: self.models.iter().map(|m| m.make_scratch(max_batch)).collect(),
             values: Vec::with_capacity(max_batch),
+            critic_ns: 0,
             flags: Vec::with_capacity(max_batch),
             clean: Vec::with_capacity(max_batch * width),
             probs: Vec::with_capacity(max_batch),
@@ -399,14 +421,30 @@ impl AdaptiveDetector {
         }
     }
 
+    /// Runs the critic over `rows` into `arena.values`/`arena.flags`,
+    /// timing the forward pass into `arena.critic_ns`.
+    fn screen_into(&self, rows: &[f64], arena: &mut InferArena) {
+        let t0 = hmd_telemetry::clock::now_ns();
+        self.predictor.is_adversarial_batch_into(
+            rows,
+            &mut arena.critic,
+            &mut arena.values,
+            &mut arena.flags,
+        );
+        arena.critic_ns = hmd_telemetry::clock::now_ns().saturating_sub(t0);
+    }
+
     /// [`classify`](Self::classify) through a warmed-up arena: identical
     /// verdict, quarantine behavior and telemetry, zero heap allocations.
+    /// The row's critic value is left in [`InferArena::values`] (one
+    /// entry) and the critic's time in [`InferArena::critic_ns`].
     ///
     /// # Errors
     ///
     /// Propagates model failures.
     pub fn classify_into(&self, row: &[f64], arena: &mut InferArena) -> Result<Verdict, CoreError> {
-        if self.predictor.is_adversarial_with(row, &mut arena.critic) {
+        self.screen_into(row, arena);
+        if arena.flags[0] {
             self.quarantine_push(row)?;
             return Ok(Verdict::AdversarialAttack);
         }
@@ -419,9 +457,10 @@ impl AdaptiveDetector {
     }
 
     /// [`classify_batch`](Self::classify_batch) through a warmed-up
-    /// arena, leaving the verdicts in [`InferArena::verdicts`] (input
-    /// order): identical verdicts, quarantine behavior and telemetry,
-    /// zero heap allocations for batches within the arena's capacity.
+    /// arena, leaving the verdicts in [`InferArena::verdicts`] and the
+    /// critic values in [`InferArena::values`] (input order): identical
+    /// verdicts, quarantine behavior and telemetry, zero heap
+    /// allocations for batches within the arena's capacity.
     ///
     /// # Errors
     ///
@@ -439,14 +478,11 @@ impl AdaptiveDetector {
         let n = rows.len() / width;
         arena.verdicts.clear();
         if n == 0 {
+            arena.values.clear();
+            arena.critic_ns = 0;
             return Ok(());
         }
-        self.predictor.is_adversarial_batch_into(
-            rows,
-            &mut arena.critic,
-            &mut arena.values,
-            &mut arena.flags,
-        );
+        self.screen_into(rows, arena);
         arena.clean.clear();
         for (i, &flagged) in arena.flags.iter().enumerate() {
             let row = &rows[i * width..(i + 1) * width];
@@ -610,11 +646,20 @@ mod tests {
         assert_eq!(arena.max_batch(), 16);
         detector.classify_batch_into(&flat, width, &mut arena).unwrap();
         assert_eq!(arena.verdicts(), expect.as_slice());
+        // the arena keeps the critic values the decisions were made on,
+        // bit-equal to one-row scoring at any batch size
+        assert_eq!(arena.values().len(), expect.len());
+        for (i, v) in arena.values().iter().enumerate() {
+            let row = &flat[i * width..(i + 1) * width];
+            assert_eq!(v.to_bits(), detector.predictor().feedback_reward(row).to_bits());
+        }
         for (row, _) in benign.iter().take(4) {
             assert_eq!(
                 detector.classify_into(row, &mut arena).unwrap(),
                 detector.classify(row).unwrap()
             );
+            let want = detector.predictor().feedback_reward(row).to_bits();
+            assert_eq!(arena.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>(), [want]);
         }
         for (row, _) in attacks.test_result.adversarial.iter().take(4) {
             assert_eq!(

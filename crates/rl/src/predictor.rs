@@ -260,9 +260,8 @@ impl AdversarialPredictor {
     }
 
     /// [`feedback_reward`](Self::feedback_reward) through caller-owned
-    /// scratch: bit-identical critic value, zero heap allocations. The
-    /// flight recorder reads the raw score per served window, so this
-    /// path must stay off the heap like the decision paths.
+    /// scratch: bit-identical critic value, zero heap allocations, for
+    /// callers that score rows outside the decision paths.
     ///
     /// # Panics
     ///

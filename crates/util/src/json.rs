@@ -537,9 +537,13 @@ impl Parser<'_> {
                 return Ok(Json::UInt(u));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|_| JsonError::at(format!("invalid number '{text}'"), start))
+        // a literal past f64's range would parse to ±inf, which
+        // serializes as `null`: reject it so parse ∘ serialize holds
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Json::Float(f)),
+            Ok(_) => Err(JsonError::at(format!("number out of range '{text}'"), start)),
+            Err(_) => Err(JsonError::at(format!("invalid number '{text}'"), start)),
+        }
     }
 }
 
@@ -937,6 +941,14 @@ mod tests {
         assert_eq!(Json::parse("-7").unwrap(), Json::Int(-7));
         assert_eq!(Json::parse("18446744073709551615").unwrap(), Json::UInt(u64::MAX));
         assert_eq!(Json::parse("1.5e3").unwrap(), Json::Float(1500.0));
+    }
+
+    #[test]
+    fn numbers_past_f64_range_are_rejected() {
+        // they would parse to ±inf and serialize back as `null`
+        assert!(Json::parse("1.3e315").is_err());
+        assert!(Json::parse("[-2e999]").is_err());
+        assert_eq!(Json::parse("1e-400").unwrap(), Json::Float(0.0));
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! bundle's pinned model generation(s) from the recorded seed,
 //! re-executes every captured window through the detector, and asserts
 //! that the replayed verdicts — and their FNV-1a digest — are
-//! byte-identical to what the live shard served. It then prints a
-//! per-window explanation trace (critic score vs. threshold, routed
-//! model, per-model probabilities) so the alert can be understood
-//! offline.
+//! byte-identical to what the live shard served. It also re-scores
+//! every window through the critic and asserts the recorded critic
+//! value is bit-equal to it. It then prints a per-window explanation
+//! trace (critic score vs. threshold, routed model, per-model
+//! probabilities, all recomputed from the row) so the alert can be
+//! understood offline.
 //!
 //! ```text
 //! replay <bundle.json> [--explain N]
@@ -17,7 +19,8 @@
 //!
 //! `--explain N` prints the trace for the last N windows (default 8;
 //! 0 silences it). Exit status: 0 on a byte-identical replay, 1 on any
-//! verdict or digest divergence, 2 on usage/parse errors.
+//! verdict, digest or critic-value divergence, 2 on usage/parse
+//! errors.
 //!
 //! Generation 0 needs only the training pipeline
 //! ([`Framework::prepare_serving`]); windows served by a later
@@ -96,7 +99,7 @@ fn main() {
         fail("bundle holds no windows");
     }
 
-    // v2 bundles embed the promoted flagged stage traces; assert they
+    // v2+ bundles embed the promoted flagged stage traces; assert they
     // survive a serialize → parse round trip byte-for-byte and that
     // every cumulative stage array is monotone (v1 bundles carry none)
     for t in &bundle.traces {
@@ -219,43 +222,60 @@ fn main() {
         bundle.verdict_digest
     );
 
-    // explanation traces for the most recent windows: why each verdict
-    // fell out of the critic threshold and the routed model
-    if explain > 0 {
-        let skip = bundle.windows.len().saturating_sub(explain);
-        for w in &bundle.windows[skip..] {
-            let artifacts = artifacts_at(w.generation);
-            let trace = artifacts
+    // every window's recorded critic value must be the critic value
+    // the pinned generation computes for its row, bit for bit: the
+    // serving detector's batched critic pass is what the ring recorded
+    let explained: Vec<_> = bundle
+        .windows
+        .iter()
+        .map(|w| {
+            artifacts_at(w.generation)
                 .detector
                 .classify_explain(&w.row)
-                .unwrap_or_else(|e| fail(&format!("explain failed: {e}")));
-            let probs: Vec<String> = bundle
-                .model_names
-                .iter()
-                .zip(&trace.model_probs)
-                .map(|(name, p)| format!("{name}={p:.4}"))
-                .collect();
-            println!(
-                "sample {:>6} gen {} verdict {:<11} critic {:+.4} vs {:+.4} ({}) routed {} [{}]",
-                w.sample,
-                w.generation,
-                verdict_name(trace.verdict),
-                trace.adv_score,
-                trace.adv_threshold,
-                if trace.flagged { "flagged" } else { "clean" },
-                bundle.model_names.get(trace.selected_model).map_or("?", String::as_str),
-                probs.join(" ")
+                .unwrap_or_else(|e| fail(&format!("explain failed: {e}")))
+        })
+        .collect();
+    for (w, trace) in bundle.windows.iter().zip(&explained) {
+        if w.adv_score.to_bits() != trace.adv_score.to_bits() {
+            mismatches += 1;
+            eprintln!(
+                "replay: MISMATCH sample {} gen {}: recorded critic {:e} replayed {:e}",
+                w.sample, w.generation, w.adv_score, trace.adv_score
             );
         }
     }
 
+    // explanation traces for the most recent windows: why each verdict
+    // fell out of the critic threshold and the routed model
+    let skip = bundle.windows.len().saturating_sub(explain);
+    for (w, trace) in bundle.windows.iter().zip(&explained).skip(skip) {
+        let probs: Vec<String> = bundle
+            .model_names
+            .iter()
+            .zip(&trace.model_probs)
+            .map(|(name, p)| format!("{name}={p:.4}"))
+            .collect();
+        println!(
+            "sample {:>6} gen {} verdict {:<11} critic {:+.4} vs {:+.4} ({}) routed {} [{}]",
+            w.sample,
+            w.generation,
+            verdict_name(trace.verdict),
+            trace.adv_score,
+            trace.adv_threshold,
+            if trace.flagged { "flagged" } else { "clean" },
+            bundle.model_names.get(trace.selected_model).map_or("?", String::as_str),
+            probs.join(" ")
+        );
+    }
+
     if mismatches > 0 || digest != bundle.verdict_digest {
         eprintln!(
-            "replay: FAILED — {mismatches} verdict mismatch(es), digest {}",
+            "replay: FAILED — {mismatches} verdict/critic mismatch(es), digest {}",
             if digest == bundle.verdict_digest { "matches" } else { "DIVERGED" }
         );
         std::process::exit(1);
     }
     println!("REPLAY_TRACES {} embedded stage trace(s) round-tripped", bundle.traces.len());
+    println!("REPLAY_SCORES {} recorded critic value(s) bit-equal", explained.len());
     println!("REPLAY_OK {} windows digest {digest:016x}", replayed.len());
 }

@@ -1,13 +1,14 @@
 //! Flight recorder + incident bundles: the serving loop's black box.
 //!
 //! Every shard keeps a [`FlightRecorder`] — a preallocated ring of the
-//! last N served windows (raw feature row, per-model probabilities,
-//! adversarial-predictor score, routing decision, verdict, model
-//! generation, model-only latency). Recording is allocation-free: the
-//! recorder owns its inference scratch (one critic scratch plus one
-//! [`PredictScratch`] per zoo model, sized at warmup exactly like the
-//! serving [`InferArena`](hmd_core::InferArena)), and every per-window
-//! write lands in flat buffers sized once at construction.
+//! last N served windows (raw feature row, adversarial-predictor critic
+//! value, routing decision, verdict, model generation, model-only
+//! latency). Recording runs no inference: the serving loop hands the
+//! ring the critic value the detector already computed (left in the
+//! [`InferArena`](hmd_core::InferArena)), and every per-window write is
+//! a copy into flat buffers sized once at construction. Per-model
+//! probabilities are not kept; `replay` recomputes them from the row at
+//! the pinned generation.
 //!
 //! When an SLO alert crosses a fire edge, the shard snapshots the ring
 //! plus its monitor/alert/generation state into an [`IncidentBundle`]:
@@ -24,7 +25,6 @@
 //! binary.
 
 use hmd_core::{AdaptiveDetector, CoreError, Verdict};
-use hmd_ml::PredictScratch;
 use hmd_nn::InferScratch;
 use hmd_obs::{AlertTransition, MonitorSnapshot};
 use hmd_rl::ConstraintKind;
@@ -32,14 +32,15 @@ use hmd_util::json::{field, Json, JsonError};
 
 use crate::serving::{Burst, ServingConfig};
 
-/// Schema tag written into every bundle. v2 adds the `traces` array
-/// (promoted per-window stage traces); [`IncidentBundle::from_json`]
-/// still accepts v1 documents, which simply carry no traces.
-pub const BUNDLE_SCHEMA: &str = "hmd-incident-v2";
+/// Schema tag written into every bundle. v3 drops the per-window
+/// `model_probs` array (v2 added the `traces` array of promoted stage
+/// traces).
+pub const BUNDLE_SCHEMA: &str = "hmd-incident-v3";
 
-/// The previous bundle schema, still accepted on parse for replay
-/// compatibility with bundles captured before stage tracing existed.
-pub const BUNDLE_SCHEMA_V1: &str = "hmd-incident-v1";
+/// Earlier bundle schemas, still accepted on parse so old bundles
+/// replay: v1 carries no traces, and the `model_probs` of v1 and v2
+/// windows are ignored.
+pub const BUNDLE_SCHEMAS_READ: [&str; 3] = [BUNDLE_SCHEMA, "hmd-incident-v2", "hmd-incident-v1"];
 
 /// FNV-1a offset basis — the seed of every verdict digest chain.
 pub const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -102,9 +103,14 @@ fn parse_kind(key: &str) -> Result<ConstraintKind, JsonError> {
         .ok_or_else(|| JsonError::new(format!("unknown constraint kind {key:?}")))
 }
 
-/// The per-window pipeline stages a trace stamps, in hot-loop order.
-/// [`WindowTrace::stage_ns`] is index-aligned with this list.
-pub const TRACE_STAGES: [&str; 6] = ["draw", "transform", "classify", "critic", "route", "record"];
+/// The per-window pipeline stages a trace stamps, in hot-loop order;
+/// [`WindowTrace::stage_ns`] is index-aligned with this list. `critic`
+/// is the detector's critic forward, `model` the rest of the classify
+/// call (quarantine pushes, routed model), `bookkeeping` the recorder
+/// write, digest, counters and clock, `record` monitor and history.
+/// Batched stages are amortized per window.
+pub const TRACE_STAGES: [&str; 6] =
+    ["draw", "transform", "critic", "model", "bookkeeping", "record"];
 
 /// Why a window's trace was promoted out of the per-window slab into
 /// the bounded trace store.
@@ -333,7 +339,7 @@ impl Default for TraceStore {
 }
 
 /// Schema tag of the `/traces.json` document.
-pub const TRACES_SCHEMA: &str = "hmd-traces-v1";
+pub const TRACES_SCHEMA: &str = "hmd-traces-v2";
 
 /// One shard's promoted traces, as served by `/traces.json`.
 #[derive(Clone, Debug, Default)]
@@ -385,12 +391,11 @@ pub struct IncidentWindow {
     pub t_ns: u64,
     /// The verdict the serving loop emitted.
     pub verdict: Verdict,
-    /// The adversarial predictor's critic value for the row.
+    /// The adversarial predictor's critic value for the row: the value
+    /// the serving detector made its flag decision on.
     pub adv_score: f64,
     /// The model the UCB controller had routed to.
     pub selected_model: usize,
-    /// Attack probability from every model in the zoo (paper order).
-    pub model_probs: Vec<f64>,
     /// The model generation that served the window.
     pub generation: u64,
     /// Wall-clock model-only latency (informational; scrubbed when
@@ -408,36 +413,23 @@ impl IncidentWindow {
             ("verdict".to_owned(), Json::Str(verdict_name(self.verdict).to_owned())),
             ("adv_score".to_owned(), Json::Float(self.adv_score)),
             ("selected_model".to_owned(), Json::UInt(self.selected_model as u64)),
-            (
-                "model_probs".to_owned(),
-                Json::Arr(self.model_probs.iter().map(|&p| Json::Float(p)).collect()),
-            ),
             ("generation".to_owned(), Json::UInt(self.generation)),
             ("model_latency_ns".to_owned(), Json::UInt(self.model_latency_ns)),
             ("row".to_owned(), Json::Arr(self.row.iter().map(|&x| Json::Float(x)).collect())),
         ])
     }
 
+    /// Parses a window; a v1/v2 `model_probs` array is ignored.
     fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let verdict = parse_verdict(&field::<String>(j, "verdict")?)?;
-        let arr_f64 = |name: &str| -> Result<Vec<f64>, JsonError> {
-            j.get(name)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| JsonError::new(format!("missing array {name:?}")))?
-                .iter()
-                .map(|v| v.as_f64().ok_or_else(|| JsonError::new(format!("non-number in {name:?}"))))
-                .collect()
-        };
         Ok(Self {
             sample: field(j, "sample")?,
             t_ns: field(j, "t_ns")?,
-            verdict,
+            verdict: parse_verdict(&field::<String>(j, "verdict")?)?,
             adv_score: field(j, "adv_score")?,
             selected_model: field(j, "selected_model")?,
-            model_probs: arr_f64("model_probs")?,
             generation: field(j, "generation")?,
             model_latency_ns: field(j, "model_latency_ns")?,
-            row: arr_f64("row")?,
+            row: field(j, "row")?,
         })
     }
 }
@@ -604,8 +596,13 @@ fn config_from_json(j: &Json) -> Result<(ServingConfig, usize), JsonError> {
         }),
     };
     cfg.tick_ns = field(j, "tick_ns")?;
-    cfg.window =
-        hmd_obs::WindowConfig::new(field(j, "window_slots")?, field(j, "window_slot_ns")?);
+    let slots: usize = field(j, "window_slots")?;
+    let slot_ns: u64 = field(j, "window_slot_ns")?;
+    // WindowConfig::new asserts its shape; a bundle is untrusted input
+    if slots < 2 || slot_ns == 0 {
+        return Err(JsonError::new(format!("invalid window shape: {slots} slots of {slot_ns} ns")));
+    }
+    cfg.window = hmd_obs::WindowConfig::new(slots, slot_ns);
     cfg.evaluate_every = field(j, "evaluate_every")?;
     cfg.integrity_every = field(j, "integrity_every")?;
     cfg.monitoring = field(j, "monitoring")?;
@@ -651,7 +648,7 @@ pub struct IncidentBundle {
     /// The monitor's windowed view at capture time.
     pub monitor: IncidentMonitor,
     /// Zoo model names, index-aligned with every window's
-    /// `model_probs` and `selected_model`.
+    /// `selected_model`.
     pub model_names: Vec<String>,
     /// The serving configuration (base seed + overrides).
     pub config: ServingConfig,
@@ -713,9 +710,9 @@ impl IncidentBundle {
     /// missing field.
     pub fn from_json(j: &Json) -> Result<Self, JsonError> {
         let schema: String = field(j, "schema")?;
-        if schema != BUNDLE_SCHEMA && schema != BUNDLE_SCHEMA_V1 {
+        if !BUNDLE_SCHEMAS_READ.contains(&schema.as_str()) {
             return Err(JsonError::new(format!(
-                "unsupported bundle schema {schema:?} (expected {BUNDLE_SCHEMA:?} or {BUNDLE_SCHEMA_V1:?})"
+                "unsupported bundle schema {schema:?} (expected one of {BUNDLE_SCHEMAS_READ:?})"
             )));
         }
         let arr = |name: &str| -> Result<&[Json], JsonError> {
@@ -792,9 +789,8 @@ pub struct WindowStamp {
 }
 
 /// The per-shard flight recorder: a preallocated ring of the last N
-/// served windows plus the inference scratch that lets it score every
-/// window against the adversarial predictor and the whole model zoo
-/// without a single heap allocation.
+/// served windows. [`write`](Self::write) copies one window into the
+/// ring without inference and without allocating.
 ///
 /// `head` is the next write slot; the ring holds `len ≤ cap` windows
 /// ending at the most recently recorded one.
@@ -802,13 +798,10 @@ pub struct WindowStamp {
 pub struct FlightRecorder {
     cap: usize,
     width: usize,
-    n_models: usize,
     head: usize,
     len: usize,
     /// `cap × width` feature rows.
     rows: Vec<f64>,
-    /// `cap × n_models` per-model attack probabilities.
-    probs: Vec<f64>,
     adv_scores: Vec<f64>,
     selected: Vec<usize>,
     verdicts: Vec<Verdict>,
@@ -816,15 +809,14 @@ pub struct FlightRecorder {
     t_ns: Vec<u64>,
     generations: Vec<u64>,
     model_latency: Vec<u64>,
-    /// One-row critic scratch for the adversarial predictor.
+    /// One-row critic scratch for [`record`](Self::record). Every model
+    /// generation shares the adversarial predictor, so it never needs
+    /// re-sizing across hot swaps.
     critic: InferScratch,
-    /// One one-row scratch per zoo model.
-    model_scratch: Vec<PredictScratch>,
 }
 
 impl FlightRecorder {
-    /// Builds a recorder for `cap` windows of `width` features, sizing
-    /// the inference scratch from the deployed detector's topology.
+    /// Builds a recorder for `cap` windows of `width` features.
     ///
     /// # Panics
     ///
@@ -833,15 +825,12 @@ impl FlightRecorder {
     pub fn warmup(detector: &AdaptiveDetector, width: usize, cap: usize) -> Self {
         assert!(cap > 0, "flight recorder capacity must be positive");
         assert!(width > 0, "flight recorder width must be positive");
-        let n_models = detector.models().len();
         Self {
             cap,
             width,
-            n_models,
             head: 0,
             len: 0,
             rows: vec![0.0; cap * width],
-            probs: vec![0.0; cap * n_models],
             adv_scores: vec![0.0; cap],
             selected: vec![0; cap],
             verdicts: vec![Verdict::Benign; cap],
@@ -850,30 +839,47 @@ impl FlightRecorder {
             generations: vec![0; cap],
             model_latency: vec![0; cap],
             critic: detector.predictor().infer_scratch(1),
-            model_scratch: detector.models().iter().map(|m| m.make_scratch(1)).collect(),
         }
     }
 
-    /// Re-sizes the inference scratch against freshly hot-swapped
-    /// artifacts. Ring contents survive — incident history deliberately
-    /// crosses generation boundaries, which is why every window carries
-    /// its own generation tag.
-    pub fn rewarm(&mut self, detector: &AdaptiveDetector) {
-        debug_assert_eq!(detector.models().len(), self.n_models, "zoo shape changed under swap");
-        self.critic = detector.predictor().infer_scratch(1);
-        self.model_scratch = detector.models().iter().map(|m| m.make_scratch(1)).collect();
+    /// Writes one served window into the ring: the row, the critic
+    /// value the detector decided on, the routed model index, the
+    /// verdict and the stamp. Runs no inference and never allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` does not match the warmup width.
+    pub fn write(
+        &mut self,
+        row: &[f64],
+        verdict: Verdict,
+        adv_score: f64,
+        selected_model: usize,
+        stamp: WindowStamp,
+    ) {
+        assert_eq!(row.len(), self.width, "row width changed under the recorder");
+        let slot = self.head;
+        self.rows[slot * self.width..(slot + 1) * self.width].copy_from_slice(row);
+        self.adv_scores[slot] = adv_score;
+        self.selected[slot] = selected_model;
+        self.verdicts[slot] = verdict;
+        self.samples[slot] = stamp.sample;
+        self.t_ns[slot] = stamp.t_ns;
+        self.generations[slot] = stamp.generation;
+        self.model_latency[slot] = stamp.model_latency_ns;
+        self.head = (self.head + 1) % self.cap;
+        self.len = (self.len + 1).min(self.cap);
     }
 
-    /// Records one served window and returns the adversarial
-    /// predictor's critic score for the row (the value the metrics
-    /// history accumulates as `critic_sum`). Allocation-free: scores
-    /// the row through the recorder-owned scratch and writes into the
-    /// preallocated ring.
+    /// Scores `row` through the critic and [`write`](Self::write)s it,
+    /// returning the critic value. Kept for callers that have no
+    /// [`InferArena`](hmd_core::InferArena) holding the value already;
+    /// the serving session never calls it. Allocation-free: one critic
+    /// forward through the recorder's one-row scratch.
     ///
     /// # Errors
     ///
-    /// Propagates model prediction failures (unfitted model — cannot
-    /// happen on promoted artifacts).
+    /// Never fails today; the `Result` keeps the signature stable.
     ///
     /// # Panics
     ///
@@ -885,23 +891,8 @@ impl FlightRecorder {
         verdict: Verdict,
         stamp: WindowStamp,
     ) -> Result<f64, CoreError> {
-        assert_eq!(row.len(), self.width, "row width changed under the recorder");
-        let slot = self.head;
-        self.rows[slot * self.width..(slot + 1) * self.width].copy_from_slice(row);
-        for (m, model) in detector.models().iter().enumerate() {
-            self.probs[slot * self.n_models + m] =
-                model.predict_proba_row_with(row, &mut self.model_scratch[m])?;
-        }
         let adv_score = detector.predictor().feedback_reward_with(row, &mut self.critic);
-        self.adv_scores[slot] = adv_score;
-        self.selected[slot] = detector.controller().selected_model();
-        self.verdicts[slot] = verdict;
-        self.samples[slot] = stamp.sample;
-        self.t_ns[slot] = stamp.t_ns;
-        self.generations[slot] = stamp.generation;
-        self.model_latency[slot] = stamp.model_latency_ns;
-        self.head = (self.head + 1) % self.cap;
-        self.len = (self.len + 1).min(self.cap);
+        self.write(row, verdict, adv_score, detector.controller().selected_model(), stamp);
         Ok(adv_score)
     }
 
@@ -951,7 +942,6 @@ impl FlightRecorder {
                     verdict: self.verdicts[s],
                     adv_score: self.adv_scores[s],
                     selected_model: self.selected[s],
-                    model_probs: self.probs[s * self.n_models..(s + 1) * self.n_models].to_vec(),
                     generation: self.generations[s],
                     model_latency_ns: self.model_latency[s],
                     row: self.rows[s * self.width..(s + 1) * self.width].to_vec(),
@@ -1078,10 +1068,14 @@ mod tests {
         let snap = TraceSnapshot { flagged: vec![trace(1, TraceReason::Flagged)], tail: vec![] };
         let doc = traces_json(&[snap]);
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(TRACES_SCHEMA));
-        let stages = doc.get("stages").and_then(Json::as_arr).unwrap();
-        assert_eq!(stages.len(), TRACE_STAGES.len());
-        assert_eq!(stages[0].as_str(), Some("draw"));
-        assert_eq!(stages[5].as_str(), Some("record"));
+        let stages: Vec<&str> = doc
+            .get("stages")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
+        assert_eq!(stages, ["draw", "transform", "critic", "model", "bookkeeping", "record"]);
         let shard0 = doc.get("per_shard").and_then(Json::as_arr).unwrap()[0].clone();
         assert_eq!(shard0.get("flagged").and_then(Json::as_arr).unwrap().len(), 1);
         assert_eq!(shard0.get("latency_tail").and_then(Json::as_arr).unwrap().len(), 0);

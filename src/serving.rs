@@ -178,11 +178,13 @@ pub struct ServingConfig {
     /// configuration (`quick(base_seed)` + the bundle's overrides).
     pub base_seed: u64,
     /// Flight-recorder ring capacity: each shard keeps the last this
-    /// many served windows (row, per-model probabilities, critic score,
-    /// routing, verdict, generation, latency) in preallocated buffers
-    /// and snapshots them into an [`IncidentBundle`] on every SLO alert
-    /// fire edge. Recording is allocation-free. Zero disables the
-    /// recorder (and incident capture).
+    /// many served windows (row, critic value, routed model, verdict,
+    /// generation, latency) in preallocated buffers and snapshots them
+    /// into an [`IncidentBundle`] on every SLO alert fire edge. The
+    /// ring holds no per-model probabilities, and recording copies the
+    /// detector's own critic value: no inference, no allocation. Zero
+    /// disables the recorder (and incident capture) and changes
+    /// nothing else.
     pub recorder: usize,
     /// Retain every published artifacts generation on the hub so
     /// [`ModelHub::artifacts_at`] can pin past generations after the
@@ -788,13 +790,16 @@ pub struct ServingOutcome {
 
 /// Wall-clock timings of one served window, as handed to
 /// `record_verdict`: end-to-end and model-only latency plus the
-/// (batch-amortized) durations of the draw and transform stages.
+/// (batch-amortized) durations of the draw, transform and critic
+/// stages. `critic_ns` is part of `model_latency_ns`; the allocating
+/// path does not split it out and leaves it 0.
 #[derive(Clone, Copy, Debug)]
 struct StageTiming {
     latency_ns: u64,
     model_latency_ns: u64,
     draw_ns: u64,
     transform_ns: u64,
+    critic_ns: u64,
 }
 
 /// A streaming detection session — one shard of the serving loop. See
@@ -1065,11 +1070,6 @@ impl ServingSession {
             self.artifacts = artifacts;
             self.arena =
                 self.artifacts.detector.warmup(self.feature_idx.len(), self.cfg.batch.max(1));
-            if let Some(ring) = &mut self.recorder_ring {
-                // fresh scratch for the refreshed zoo; ring contents
-                // survive the swap (windows carry their generation)
-                ring.rewarm(&self.artifacts.detector);
-            }
         }
         self.shared.engine().set_rules(&rules);
         self.cfg.rules = rules;
@@ -1121,64 +1121,58 @@ impl ServingSession {
         Ok(self.replay_truth[k])
     }
 
-    /// The bookkeeping half of one sample: digest, counters, clock,
-    /// flight-recorder write and (when enabled) monitoring, history and
-    /// stage-trace promotion — identical between the scalar and batched
-    /// paths. `row` is the engineered, scaled input the verdict was
-    /// served for; the recorder re-scores it through its own
-    /// preallocated scratch, so the write is allocation-free.
+    /// The bookkeeping half of one sample: flight-recorder write,
+    /// digest, counters, clock and (when enabled) monitoring, history
+    /// and stage-trace promotion — identical between the scalar and
+    /// batched paths. `row` is the engineered, scaled input the verdict
+    /// was served for and `adv_score` the critic value the detector
+    /// decided on; the ring copies both, allocation-free.
     ///
-    /// Stage order matches [`recorder::TRACE_STAGES`]: draw and
-    /// transform happened in the caller (their timings arrive in
-    /// `timing`), classify is behind `timing.model_latency_ns`, and
-    /// this function times critic (the flight recorder's re-score),
-    /// route (digest + counters + clock publication) and record
-    /// (monitor + history) itself.
+    /// Stage order matches [`recorder::TRACE_STAGES`]: draw, transform,
+    /// critic and model happened in the caller (their timings arrive
+    /// in `timing`), and this function times bookkeeping (ring write,
+    /// digest, counters, clock publication) and record (monitor,
+    /// history) itself.
     fn record_verdict(
         &mut self,
         row: &[f64],
         truth_attack: bool,
         verdict: Verdict,
+        adv_score: f64,
         timing: StageTiming,
-    ) -> Result<(), CoreError> {
+    ) {
         let sample = self.processed as u64;
         self.processed += 1;
         let now_ns = self.processed as u64 * self.cfg.tick_ns;
         let t_enter = clock::now_ns();
-        // critic stage: the flight recorder re-scores the row through
-        // the adversarial predictor (and the whole zoo)
-        let critic_score = if let Some(ring) = &mut self.recorder_ring {
+        if let Some(ring) = &mut self.recorder_ring {
             let stamp = recorder::WindowStamp {
                 sample,
                 t_ns: now_ns,
                 generation: self.generation as u64,
                 model_latency_ns: timing.model_latency_ns,
             };
-            ring.record(&self.artifacts.detector, row, verdict, stamp)?
-        } else {
-            0.0
-        };
-        let t_critic = clock::now_ns();
-        // route stage: digest, counters, clock publication
+            let routed = self.artifacts.detector.controller().selected_model();
+            ring.write(row, verdict, adv_score, routed, stamp);
+        }
         self.digest = recorder::digest_step(self.digest, verdict);
         self.verdicts[recorder::verdict_slot(verdict) as usize] += 1;
         self.shared.t_ns.store(now_ns, Ordering::Relaxed);
-        let t_route = clock::now_ns();
+        let t_bookkept = clock::now_ns();
         if self.cfg.monitoring {
-            // record stage: monitor windows, alerts, integrity, history
-            self.observe(now_ns, sample, truth_attack, verdict, timing, critic_score);
+            self.observe(now_ns, sample, truth_attack, verdict, timing, adv_score);
             let t_record = clock::now_ns();
             // cumulative stage ends — monotone by construction
             let mut stage_ns = [0_u64; 6];
             stage_ns[0] = timing.draw_ns;
             stage_ns[1] = stage_ns[0].saturating_add(timing.transform_ns);
-            stage_ns[2] = stage_ns[1].saturating_add(timing.model_latency_ns);
-            stage_ns[3] = stage_ns[2].saturating_add(t_critic.saturating_sub(t_enter));
-            stage_ns[4] = stage_ns[3].saturating_add(t_route.saturating_sub(t_critic));
-            stage_ns[5] = stage_ns[4].saturating_add(t_record.saturating_sub(t_route));
+            stage_ns[2] = stage_ns[1].saturating_add(timing.critic_ns);
+            stage_ns[3] = stage_ns[2]
+                .saturating_add(timing.model_latency_ns.saturating_sub(timing.critic_ns));
+            stage_ns[4] = stage_ns[3].saturating_add(t_bookkept.saturating_sub(t_enter));
+            stage_ns[5] = stage_ns[4].saturating_add(t_record.saturating_sub(t_bookkept));
             self.promote_trace(sample, now_ns, verdict, stage_ns);
         }
-        Ok(())
     }
 
     /// Tail-samples one window's stage trace: flagged (adversarial)
@@ -1229,6 +1223,12 @@ impl ServingSession {
             self.artifacts.detector.classify(&self.scratch)?
         };
         let t_end = clock::now_ns();
+        let (adv_score, critic_ns) = if self.cfg.arena {
+            (self.arena.values()[0], self.arena.critic_ns())
+        } else {
+            // comparison-only allocating path: score the critic again
+            (self.artifacts.detector.predictor().feedback_reward(&self.scratch), 0)
+        };
         let transform_ns = self.transform_ns;
         let draw_ns = t_model.saturating_sub(t_start).saturating_sub(transform_ns);
         // lend the scratch row out without allocating (mem::take leaves
@@ -1240,10 +1240,10 @@ impl ServingSession {
             model_latency_ns: t_end.saturating_sub(t_model),
             draw_ns,
             transform_ns,
+            critic_ns,
         };
-        let result = self.record_verdict(&row, truth_attack, verdict, timing);
+        self.record_verdict(&row, truth_attack, verdict, adv_score, timing);
         self.scratch = row;
-        result?;
         Ok(true)
     }
 
@@ -1296,63 +1296,37 @@ impl ServingSession {
             .saturating_sub(t_start)
             .saturating_sub(self.transform_ns)
             / n as u64;
-        if self.cfg.arena {
+        let allocating = if self.cfg.arena {
             self.artifacts.detector.classify_batch_into(&self.batch_rows, width, &mut self.arena)?;
-            let t_end = clock::now_ns();
-            // amortized per-sample latencies: the histograms stay
-            // comparable across batch sizes
-            let timing = StageTiming {
-                latency_ns: t_end.saturating_sub(t_start) / n as u64,
-                model_latency_ns: t_end.saturating_sub(t_model) / n as u64,
-                draw_ns,
-                transform_ns,
-            };
-            // lend the batch buffers out allocation-free (see step())
-            let rows = std::mem::take(&mut self.batch_rows);
-            let truths = std::mem::take(&mut self.batch_truth);
-            let mut result = Ok(());
-            for k in 0..n {
-                let verdict = self.arena.verdicts()[k];
-                result = self.record_verdict(
-                    &rows[k * width..(k + 1) * width],
-                    truths[k],
-                    verdict,
-                    timing,
-                );
-                if result.is_err() {
-                    break;
-                }
-            }
-            self.batch_rows = rows;
-            self.batch_truth = truths;
-            result?;
+            None
         } else {
-            let verdicts = self.artifacts.detector.classify_batch(&self.batch_rows, width)?;
-            let t_end = clock::now_ns();
-            let timing = StageTiming {
-                latency_ns: t_end.saturating_sub(t_start) / n as u64,
-                model_latency_ns: t_end.saturating_sub(t_model) / n as u64,
-                draw_ns,
-                transform_ns,
-            };
-            let rows = std::mem::take(&mut self.batch_rows);
-            let truths = std::mem::take(&mut self.batch_truth);
-            let mut result = Ok(());
-            for (k, (&truth, verdict)) in truths.iter().zip(verdicts).enumerate() {
-                result = self.record_verdict(
-                    &rows[k * width..(k + 1) * width],
-                    truth,
-                    verdict,
-                    timing,
-                );
-                if result.is_err() {
-                    break;
+            Some(self.artifacts.detector.classify_batch(&self.batch_rows, width)?)
+        };
+        let t_end = clock::now_ns();
+        // amortized per-sample latencies: the histograms stay
+        // comparable across batch sizes
+        let timing = StageTiming {
+            latency_ns: t_end.saturating_sub(t_start) / n as u64,
+            model_latency_ns: t_end.saturating_sub(t_model) / n as u64,
+            draw_ns,
+            transform_ns,
+            critic_ns: if allocating.is_some() { 0 } else { self.arena.critic_ns() / n as u64 },
+        };
+        // lend the batch buffers out allocation-free (see step())
+        let rows = std::mem::take(&mut self.batch_rows);
+        let truths = std::mem::take(&mut self.batch_truth);
+        for (k, row) in rows.chunks_exact(width).enumerate() {
+            let (verdict, adv_score) = match &allocating {
+                None => (self.arena.verdicts()[k], self.arena.values()[k]),
+                // comparison-only allocating path: score the critic again
+                Some(verdicts) => {
+                    (verdicts[k], self.artifacts.detector.predictor().feedback_reward(row))
                 }
-            }
-            self.batch_rows = rows;
-            self.batch_truth = truths;
-            result?;
+            };
+            self.record_verdict(row, truths[k], verdict, adv_score, timing);
         }
+        self.batch_rows = rows;
+        self.batch_truth = truths;
         Ok(n)
     }
 
@@ -1370,7 +1344,7 @@ impl ServingSession {
         truth_attack: bool,
         verdict: Verdict,
         timing: StageTiming,
-        critic_score: f64,
+        adv_score: f64,
     ) {
         let record = SampleRecord {
             truth_attack,
@@ -1382,7 +1356,7 @@ impl ServingSession {
             generation: self.generation as u64,
         };
         self.shared.monitor.record_at(now_ns, record);
-        self.hist_acc.observe(&record, critic_score);
+        self.hist_acc.observe(&record, adv_score);
         if (self.processed as u64).is_multiple_of(FINE_EVERY) {
             // flush one fine-tier point; the shared history folds it
             // toward the mid/coarse tiers in place, allocation-free

@@ -3,8 +3,8 @@
 //! windows settled, alert engine past its initial transitions, replay
 //! ring standing in for live traffic synthesis), classifying a window —
 //! monitoring, alert evaluation, integrity checks, the flight recorder
-//! (on at its default 64-window depth, re-capturing every window's row,
-//! probabilities and critic score into its preallocated ring), the
+//! (on at its default 64-window depth, copying every window's row and
+//! the detector's critic value into its preallocated ring), the
 //! multi-resolution metrics history (flushing a point every
 //! `FINE_EVERY` windows) and the tail-sampling trace promoter included
 //! — must perform **zero** heap allocations, on both the scalar and the

@@ -1,0 +1,122 @@
+//! Hostile input for the incident-bundle parser. A bundle is fetched
+//! over HTTP and handed to `replay` from disk, so `IncidentBundle::parse`
+//! must answer any bytes with `Ok` or `Err`, never a panic. The inputs
+//! are real captures: `fixtures/incident_v3.json` is bundle `s0-i0` of
+//! `serve --samples 600 --seed 7 --shards 2 --batch 16 --retrain-every
+//! 200`, and `fixtures/incident_v2.json` is the same bundle as captured
+//! before the schema dropped per-model probabilities.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use hmd::recorder::{IncidentBundle, BUNDLE_SCHEMA};
+use hmd_util::json::Json;
+use hmd_util::{prop_assert, prop_assert_eq, prop_tests};
+
+const V3: &str = include_str!("fixtures/incident_v3.json");
+const V2: &str = include_str!("fixtures/incident_v2.json");
+
+/// `parse`, with a panic turned into a test failure that names the input.
+fn parse_no_panic(text: &str, what: &str) -> Option<IncidentBundle> {
+    catch_unwind(AssertUnwindSafe(|| IncidentBundle::parse(text)))
+        .unwrap_or_else(|_| panic!("parse panicked on {what}"))
+        .ok()
+}
+
+/// Serializes, parses back and serializes again: the two texts must be
+/// equal, and so must the windows and traces.
+fn assert_round_trips(b: &IncidentBundle) {
+    let text = b.to_json().to_string();
+    let back = IncidentBundle::parse(&text).expect("a serialized bundle parses");
+    assert_eq!(back.to_json().to_string(), text);
+    assert_eq!(back.windows, b.windows);
+    assert_eq!(back.traces, b.traces);
+}
+
+#[test]
+fn captured_v3_bundle_round_trips() {
+    let b = IncidentBundle::parse(V3).expect("the captured bundle parses");
+    assert!(!b.windows.is_empty());
+    assert_eq!(
+        Json::parse(V3).unwrap().get("schema").and_then(Json::as_str),
+        Some(BUNDLE_SCHEMA)
+    );
+    assert_round_trips(&b);
+}
+
+#[test]
+fn captured_v2_bundle_parses_and_drops_model_probs() {
+    let doc = Json::parse(V2).expect("valid JSON");
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("hmd-incident-v2"));
+    let first = doc.get("windows").and_then(|w| w.at(0)).expect("a window");
+    assert!(first.get("model_probs").is_some(), "the v2 fixture must carry model_probs");
+
+    let b = IncidentBundle::parse(V2).expect("v2 bundles still parse");
+    assert_eq!(b.windows.len(), doc.get("windows").and_then(Json::as_arr).unwrap().len());
+    let text = b.to_json().to_string();
+    assert!(text.contains(BUNDLE_SCHEMA), "re-serialized as the current schema");
+    assert!(!text.contains("model_probs"));
+    assert_round_trips(&b);
+    // the v2 capture re-scored the critic in the recorder, the v3 one
+    // copied the detector's value: the same windows, bit for bit, but
+    // for the wall-clock latency
+    let v3 = IncidentBundle::parse(V3).unwrap();
+    assert_eq!(b.verdict_digest, v3.verdict_digest);
+    assert_eq!(b.windows.len(), v3.windows.len());
+    for (old, new) in b.windows.iter().zip(&v3.windows) {
+        assert_eq!(
+            (old.sample, old.verdict, old.generation),
+            (new.sample, new.verdict, new.generation)
+        );
+        assert_eq!(old.selected_model, new.selected_model);
+        assert_eq!(old.adv_score.to_bits(), new.adv_score.to_bits());
+        assert_eq!(old.row, new.row);
+    }
+}
+
+#[test]
+fn every_truncated_prefix_is_rejected() {
+    let doc = V3.trim_end();
+    assert!(doc.is_ascii(), "prefixes below slice on byte boundaries");
+    for end in 0..doc.len() {
+        assert!(
+            parse_no_panic(&doc[..end], &format!("the {end}-byte prefix")).is_none(),
+            "the {end}-byte prefix parsed"
+        );
+    }
+}
+
+#[test]
+fn a_bad_window_shape_is_an_error() {
+    for (from, to) in [
+        ("\"window_slots\":8,", "\"window_slots\":1,"),
+        ("\"window_slots\":8,", "\"window_slots\":0,"),
+        ("\"window_slot_ns\":250000000,", "\"window_slot_ns\":0,"),
+    ] {
+        assert!(V3.contains(from), "fixture lacks {from}");
+        let text = V3.replace(from, to);
+        assert!(parse_no_panic(&text, to).is_none(), "{to} parsed");
+    }
+}
+
+/// Byte length of the v3 fixture, the mutation position range.
+const V3_LEN: usize = V3.len();
+
+prop_tests! {
+    cases = 512;
+
+    /// One byte of the capture replaced by any ASCII byte: `parse`
+    /// returns, and whatever it accepts survives a round trip.
+    fn single_byte_mutations_never_panic(pos in 0..V3_LEN, byte in 0u8..128) {
+        let mut bytes = V3.as_bytes().to_vec();
+        bytes[pos] = byte;
+        let text = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+        if let Some(b) = parse_no_panic(&text, &format!("byte {byte} at {pos}")) {
+            let again = b.to_json().to_string();
+            let back = IncidentBundle::parse(&again);
+            prop_assert!(back.is_ok(), "accepted bundle does not re-parse: {back:?}");
+            let back = back.unwrap();
+            prop_assert_eq!(back.to_json().to_string(), again);
+            prop_assert_eq!(back.windows, b.windows);
+        }
+    }
+}

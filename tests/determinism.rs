@@ -508,6 +508,52 @@ fn shard_history_and_traces_are_byte_identical_across_batch_threads_and_shards()
     }
 }
 
+/// The history's critic margin is the detector's own critic value, not
+/// a by-product of the flight recorder: with the recorder off the
+/// history serializes to the same bytes as with the default 64-deep
+/// ring, at batch 1 and 7, and `critic_sum` is non-zero in every point.
+#[test]
+fn history_critic_sum_does_not_depend_on_the_recorder() {
+    let base = {
+        let mut cfg = hmd::ServingConfig::quick(43);
+        cfg.samples = 200;
+        cfg
+    };
+    let artifacts = hmd::ServingSession::start(base.clone()).expect("train").artifacts_handle();
+    let run = |recorder: usize, batch: usize| -> String {
+        let mut cfg = base.clone();
+        cfg.recorder = recorder;
+        cfg.batch = batch;
+        cfg.calibration_samples = 0;
+        let mut session =
+            hmd::ServingSession::with_artifacts(cfg, artifacts.clone()).expect("assemble");
+        session.run_to_completion().expect("run");
+        assert_eq!(session.flight_recorder().is_some(), recorder > 0);
+        scrub_incident(&hmd::obs::history_json(&[session.history_snapshot()]).to_string())
+    };
+
+    let reference = run(64, 1);
+    let doc = Json::parse(&reference).expect("history is valid JSON");
+    let fine = doc
+        .get("per_shard")
+        .and_then(|s| s.at(0))
+        .and_then(|s| s.get("fine"))
+        .and_then(Json::as_arr)
+        .expect("shard 0 fine tier");
+    assert!(!fine.is_empty(), "200 samples must flush fine points");
+    for point in fine {
+        let critic_sum = point.get("critic_sum").and_then(Json::as_f64).expect("critic_sum");
+        assert!(critic_sum != 0.0, "critic_sum is zero in {point:?}");
+    }
+    for (recorder, batch) in [(0, 1), (64, 7), (0, 7)] {
+        assert_eq!(
+            run(recorder, batch),
+            reference,
+            "history bytes moved with recorder {recorder}, batch {batch}"
+        );
+    }
+}
+
 /// Shard 0 of a fleet replays the exact single-session stream: same
 /// base seed, same digest. Other shards decorrelate.
 #[test]

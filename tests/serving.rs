@@ -270,9 +270,10 @@ fn fleet_merged_endpoint_with_concurrent_keepalive_scrapers() {
     let (status, body) = get(&addr, "/traces.json");
     assert_eq!(status, 200);
     let traces = Json::parse(&body).expect("traces must be valid JSON");
-    assert_eq!(traces.get("schema").and_then(Json::as_str), Some("hmd-traces-v1"));
+    assert_eq!(traces.get("schema").and_then(Json::as_str), Some("hmd-traces-v2"));
     let stages = traces.get("stages").and_then(Json::as_arr).expect("stage names");
-    assert_eq!(stages.len(), hmd::recorder::TRACE_STAGES.len());
+    let names: Vec<&str> = stages.iter().filter_map(Json::as_str).collect();
+    assert_eq!(names, ["draw", "transform", "critic", "model", "bookkeeping", "record"]);
     let mut promoted = 0usize;
     for shard in traces.get("per_shard").and_then(Json::as_arr).expect("per-shard traces") {
         for ring in ["flagged", "latency_tail"] {
