@@ -218,21 +218,17 @@ fn bench_serving(h: &mut Harness) {
         );
     }
 
-    // Arena vs allocating inference: the same session budget through
-    // the preallocated per-shard arena and through the heap-allocating
-    // detector paths — verdict-identical, so the delta is pure runtime.
-    for (id, arena) in
-        [("serve/session_arena_batch32", true), ("serve/session_alloc_batch32", false)]
-    {
-        let mut pair_cfg = cfg.clone();
-        pair_cfg.arena = arena;
-        h.bench_with_throughput(id, Throughput::Elements(cfg.samples as u64), || {
-            let mut session =
-                ServingSession::with_artifacts(pair_cfg.clone(), artifacts.clone())
-                    .expect("assemble session");
+    // One session (the same budget as the fleet records, one shard)
+    // on the caller's thread: the serving path without fleet setup.
+    h.bench_with_throughput(
+        "serve/session_arena_batch32",
+        Throughput::Elements(cfg.samples as u64),
+        || {
+            let mut session = ServingSession::with_artifacts(cfg.clone(), artifacts.clone())
+                .expect("assemble session");
             black_box(session.run_to_completion().expect("session run"))
-        });
-    }
+        },
+    );
 
     // Steady-state allocation count: replay-ring traffic through the
     // arena path, measured across the back half of the budget once the

@@ -39,11 +39,11 @@ impl Verdict {
 /// hot path needs, sized once by [`AdaptiveDetector::warmup`] from the
 /// feature width, the model zoo's topology, and the maximum batch size.
 ///
-/// After warmup, [`AdaptiveDetector::classify_into`] and
-/// [`AdaptiveDetector::classify_batch_into`] run entirely inside these
-/// buffers — zero heap allocations per window — while producing verdicts
-/// byte-identical to the allocating [`AdaptiveDetector::classify`] /
-/// [`AdaptiveDetector::classify_batch`] paths.
+/// After warmup, [`AdaptiveDetector::classify_batch_into`] (and its
+/// one-row wrapper [`AdaptiveDetector::classify_into`]) runs entirely
+/// inside these buffers — zero heap allocations per window — while
+/// producing verdicts and critic values bit-identical to the
+/// [`AdaptiveDetector::classify_explain`] reference.
 #[derive(Debug)]
 pub struct InferArena {
     /// Critic activation scratch for the adversarial predictor.
@@ -77,9 +77,9 @@ impl InferArena {
         &self.verdicts
     }
 
-    /// The critic values of the last [`AdaptiveDetector::classify_into`]
-    /// (one value) or [`AdaptiveDetector::classify_batch_into`] call, in
-    /// input order: the exact values the flag decisions were made on.
+    /// The critic values of the last
+    /// [`AdaptiveDetector::classify_batch_into`] call, in input order:
+    /// the exact values the flag decisions were made on.
     #[must_use]
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -105,7 +105,7 @@ impl InferArena {
 /// deciding one sample's verdict — the per-window forensic record
 /// [`AdaptiveDetector::classify_explain`] produces for incident replay.
 ///
-/// Unlike the serving paths the explanation runs *every* zoo model, so
+/// Unlike the serving path the explanation runs *every* zoo model, so
 /// an operator can read per-model disagreement on adversarially
 /// perturbed windows — the rows where the routed model's verdict is
 /// least trustworthy.
@@ -121,7 +121,7 @@ pub struct ExplainTrace {
     pub selected_model: usize,
     /// Attack probability from every zoo model, in zoo order.
     pub model_probs: Vec<f64>,
-    /// The verdict the serving paths produce for this row.
+    /// The verdict the serving path produces for this row.
     pub verdict: Verdict,
 }
 
@@ -131,6 +131,15 @@ pub struct ExplainTrace {
 /// samples are labeled [`Class::Adversarial`] and buffered for retraining
 /// (the paper's feedback loop), everything else is routed to the ML model
 /// the constraint controller selected.
+///
+/// The decision has exactly two implementations. The serving path,
+/// [`classify_batch_into`](Self::classify_batch_into), runs whole batches
+/// through a warmed-up [`InferArena`] without allocating. The reference
+/// path, [`classify_explain`](Self::classify_explain), scores one row on
+/// the allocating Tensor kernels and reports every signal behind the
+/// verdict; replay and the determinism suite check the serving path
+/// against it. [`classify_into`](Self::classify_into) and
+/// [`classify`](Self::classify) are one-row wrappers over the two.
 pub struct AdaptiveDetector {
     /// Shared: retraining rounds refit the classical zoo but keep the
     /// deployed adversarial predictor, so successive detector
@@ -138,6 +147,9 @@ pub struct AdaptiveDetector {
     predictor: Arc<AdversarialPredictor>,
     controller: ConstraintController,
     models: Vec<Box<dyn Classifier>>,
+    /// Feature width every classify path checks rows against — kept
+    /// outside the quarantine lock so the hot path takes no extra lock.
+    width: usize,
     /// Flagged samples awaiting the next adversarial-training round.
     quarantine: Mutex<Dataset>,
     /// Ring bound on the quarantine; oldest rows are evicted past it.
@@ -169,8 +181,9 @@ impl AdaptiveDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Invalid`] if `models` is empty or
-    /// `feature_names` is.
+    /// Returns [`CoreError::Invalid`] if `models` is empty, if
+    /// `feature_names` is, or if the predictor was trained on a
+    /// different width.
     pub fn new(
         predictor: AdversarialPredictor,
         controller: ConstraintController,
@@ -187,8 +200,9 @@ impl AdaptiveDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Invalid`] if `models` is empty or
-    /// `feature_names` is.
+    /// Returns [`CoreError::Invalid`] if `models` is empty, if
+    /// `feature_names` is, or if the predictor was trained on a
+    /// different width.
     pub fn with_shared_predictor(
         predictor: Arc<AdversarialPredictor>,
         controller: ConstraintController,
@@ -198,12 +212,17 @@ impl AdaptiveDetector {
         if models.is_empty() {
             return Err(CoreError::Invalid("detector needs at least one model"));
         }
+        let width = feature_names.len();
+        if predictor.agent().state_dim() != width {
+            return Err(CoreError::Invalid("predictor width differs from the feature schema"));
+        }
         let quarantine =
             Dataset::new(feature_names).map_err(|_| CoreError::Invalid("feature names empty"))?;
         Ok(Self {
             predictor,
             controller,
             models,
+            width,
             quarantine: Mutex::new(quarantine),
             quarantine_cap: AtomicUsize::new(DEFAULT_QUARANTINE_CAP),
             evicted: AtomicU64::new(0),
@@ -288,28 +307,40 @@ impl AdaptiveDetector {
         Ok(())
     }
 
-    /// Classifies one standardized HPC sample.
+    /// Rejects a row width other than the detector's feature width.
+    fn check_width(&self, width: usize) -> Result<(), CoreError> {
+        if width == self.width {
+            Ok(())
+        } else {
+            Err(CoreError::Invalid("row width differs from the detector's feature width"))
+        }
+    }
+
+    /// Classifies one standardized HPC sample on the reference path:
+    /// [`classify_explain`](Self::classify_explain), quarantining the
+    /// row when the predictor flags it.
     ///
     /// # Errors
     ///
-    /// Propagates model failures.
+    /// Returns [`CoreError::Invalid`] for a wrong-width row and
+    /// propagates model failures.
     pub fn classify(&self, row: &[f64]) -> Result<Verdict, CoreError> {
-        if self.predictor.is_adversarial(row) {
+        let trace = self.classify_explain(row)?;
+        if trace.flagged {
             self.quarantine_push(row)?;
-            return Ok(Verdict::AdversarialAttack);
         }
-        let is_malware = self
-            .controller
-            .predict_row(&self.models, row)
-            .map_err(CoreError::from)?;
-        Ok(if is_malware { Verdict::MalwareAttack } else { Verdict::Benign })
+        Ok(trace.verdict)
     }
 
-    /// Explains one standardized HPC sample: the verdict the serving
-    /// paths produce plus every signal behind it — the predictor's raw
-    /// feedback reward against its threshold, the controller's routing
-    /// choice, and the attack probability of *every* zoo model (the
-    /// serving paths only consult the routed one).
+    /// The reference path: explains one standardized HPC sample — the
+    /// verdict the serving path produces plus every signal behind it:
+    /// the predictor's raw feedback reward against its threshold, the
+    /// controller's routing choice, and the attack probability of
+    /// *every* zoo model (the serving path only consults the routed
+    /// one). It scores one row through the Tensor forward pass and
+    /// its own threshold and routing code, sharing only the matmul
+    /// kernel with the serving path, which is what makes it a check on
+    /// the arena code.
     ///
     /// Read-only: unlike [`classify`](Self::classify) a flagged row is
     /// *not* quarantined, so replaying an incident bundle through the
@@ -318,8 +349,10 @@ impl AdaptiveDetector {
     ///
     /// # Errors
     ///
-    /// Propagates model failures.
+    /// Returns [`CoreError::Invalid`] for a wrong-width row and
+    /// propagates model failures.
     pub fn classify_explain(&self, row: &[f64]) -> Result<ExplainTrace, CoreError> {
+        self.check_width(row.len())?;
         let adv_score = self.predictor.feedback_reward(row);
         let adv_threshold = self.predictor.threshold();
         let flagged = adv_score > adv_threshold;
@@ -338,67 +371,11 @@ impl AdaptiveDetector {
         Ok(ExplainTrace { adv_score, adv_threshold, flagged, selected_model, model_probs, verdict })
     }
 
-    /// Classifies a flat row-major batch of `width`-wide samples.
-    ///
-    /// The adversarial predictor screens the whole batch in one critic
-    /// forward pass, flagged rows are quarantined in input order, and
-    /// the survivors go through the routed model as one packed matrix.
-    /// Verdicts come back in input order and are identical to calling
-    /// [`classify`](Self::classify) on each row — the blocked matmul's
-    /// per-element accumulation order is row-count-invariant, so batching
-    /// changes throughput, not results.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Invalid`] for a malformed batch shape and
-    /// propagates model failures.
-    pub fn classify_batch(&self, rows: &[f64], width: usize) -> Result<Vec<Verdict>, CoreError> {
-        if width == 0 || !rows.len().is_multiple_of(width) {
-            return Err(CoreError::Invalid("batch length is not a multiple of the row width"));
-        }
-        let n = rows.len() / width;
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let flags = self.predictor.is_adversarial_batch(rows);
-        let mut clean = Vec::with_capacity(rows.len());
-        for (i, &flagged) in flags.iter().enumerate() {
-            let row = &rows[i * width..(i + 1) * width];
-            if flagged {
-                self.quarantine_push(row)?;
-            } else {
-                clean.extend_from_slice(row);
-            }
-        }
-        let routed = if clean.is_empty() {
-            Vec::new()
-        } else {
-            self.controller
-                .predict_batch(&self.models, &clean, width)
-                .map_err(CoreError::from)?
-        };
-        let mut routed = routed.into_iter();
-        Ok(flags
-            .iter()
-            .map(|&flagged| {
-                if flagged {
-                    Verdict::AdversarialAttack
-                } else if routed.next().expect("one verdict per unflagged row") {
-                    Verdict::MalwareAttack
-                } else {
-                    Verdict::Benign
-                }
-            })
-            .collect())
-    }
-
     /// Builds a per-shard [`InferArena`] sized for `width`-wide rows in
     /// batches of up to `max_batch`, and reserves quarantine headroom
     /// (ring cap + one batch) so steady-state pushes never reallocate.
     /// Call once at warmup; the returned arena makes
-    /// [`classify_into`](Self::classify_into) and
-    /// [`classify_batch_into`](Self::classify_batch_into)
-    /// allocation-free.
+    /// [`classify_batch_into`](Self::classify_batch_into) allocation-free.
     #[must_use]
     pub fn warmup(&self, width: usize, max_batch: usize) -> InferArena {
         let max_batch = max_batch.max(1);
@@ -421,9 +398,58 @@ impl AdaptiveDetector {
         }
     }
 
-    /// Runs the critic over `rows` into `arena.values`/`arena.flags`,
-    /// timing the forward pass into `arena.critic_ns`.
-    fn screen_into(&self, rows: &[f64], arena: &mut InferArena) {
+    /// [`classify_batch_into`](Self::classify_batch_into) for one row,
+    /// returning its verdict; the critic value and time are left in the
+    /// arena as for any batch.
+    ///
+    /// # Errors
+    ///
+    /// As [`classify_batch_into`](Self::classify_batch_into).
+    pub fn classify_into(&self, row: &[f64], arena: &mut InferArena) -> Result<Verdict, CoreError> {
+        self.classify_batch_into(row, row.len(), arena)?;
+        Ok(arena.verdicts[0])
+    }
+
+    /// The serving path: classifies a flat row-major batch of
+    /// `width`-wide samples through a warmed-up arena, leaving the
+    /// verdicts in [`InferArena::verdicts`], the critic values in
+    /// [`InferArena::values`] (input order) and the critic forward's
+    /// time in [`InferArena::critic_ns`]. Zero heap allocations.
+    ///
+    /// The adversarial predictor screens the whole batch in one critic
+    /// forward pass, flagged rows are quarantined in input order, and
+    /// the survivors go through the routed model as one packed matrix.
+    /// Each verdict and critic value is bit-identical to
+    /// [`classify_explain`](Self::classify_explain) on that row — the
+    /// blocked matmul's per-element accumulation order is
+    /// row-count-invariant, so batching changes throughput, not results.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Invalid`] for a `width` other than the
+    /// detector's feature width, a batch length that is not a multiple
+    /// of it, or more rows than the arena was warmed up for; propagates
+    /// model failures.
+    pub fn classify_batch_into(
+        &self,
+        rows: &[f64],
+        width: usize,
+        arena: &mut InferArena,
+    ) -> Result<(), CoreError> {
+        self.check_width(width)?;
+        if !rows.len().is_multiple_of(width) {
+            return Err(CoreError::Invalid("batch length is not a multiple of the row width"));
+        }
+        let n = rows.len() / width;
+        if n > arena.max_batch {
+            return Err(CoreError::Invalid("batch larger than the arena was warmed up for"));
+        }
+        arena.verdicts.clear();
+        if n == 0 {
+            arena.values.clear();
+            arena.critic_ns = 0;
+            return Ok(());
+        }
         let t0 = hmd_telemetry::clock::now_ns();
         self.predictor.is_adversarial_batch_into(
             rows,
@@ -432,60 +458,8 @@ impl AdaptiveDetector {
             &mut arena.flags,
         );
         arena.critic_ns = hmd_telemetry::clock::now_ns().saturating_sub(t0);
-    }
-
-    /// [`classify`](Self::classify) through a warmed-up arena: identical
-    /// verdict, quarantine behavior and telemetry, zero heap allocations.
-    /// The row's critic value is left in [`InferArena::values`] (one
-    /// entry) and the critic's time in [`InferArena::critic_ns`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates model failures.
-    pub fn classify_into(&self, row: &[f64], arena: &mut InferArena) -> Result<Verdict, CoreError> {
-        self.screen_into(row, arena);
-        if arena.flags[0] {
-            self.quarantine_push(row)?;
-            return Ok(Verdict::AdversarialAttack);
-        }
-        let scratch = &mut arena.model_scratch[self.controller.selected_model()];
-        let is_malware = self
-            .controller
-            .predict_row_with(&self.models, row, scratch)
-            .map_err(CoreError::from)?;
-        Ok(if is_malware { Verdict::MalwareAttack } else { Verdict::Benign })
-    }
-
-    /// [`classify_batch`](Self::classify_batch) through a warmed-up
-    /// arena, leaving the verdicts in [`InferArena::verdicts`] and the
-    /// critic values in [`InferArena::values`] (input order): identical
-    /// verdicts, quarantine behavior and telemetry, zero heap
-    /// allocations for batches within the arena's capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Invalid`] for a malformed batch shape and
-    /// propagates model failures.
-    pub fn classify_batch_into(
-        &self,
-        rows: &[f64],
-        width: usize,
-        arena: &mut InferArena,
-    ) -> Result<(), CoreError> {
-        if width == 0 || !rows.len().is_multiple_of(width) {
-            return Err(CoreError::Invalid("batch length is not a multiple of the row width"));
-        }
-        let n = rows.len() / width;
-        arena.verdicts.clear();
-        if n == 0 {
-            arena.values.clear();
-            arena.critic_ns = 0;
-            return Ok(());
-        }
-        self.screen_into(rows, arena);
         arena.clean.clear();
-        for (i, &flagged) in arena.flags.iter().enumerate() {
-            let row = &rows[i * width..(i + 1) * width];
+        for (row, &flagged) in rows.chunks_exact(width).zip(&arena.flags) {
             if flagged {
                 self.quarantine_push(row)?;
             } else {
@@ -624,8 +598,8 @@ mod tests {
             benign.len()
         );
 
-        // batched classification matches the scalar path row-for-row on
-        // a mixed benign/adversarial batch
+        // the serving path reproduces the reference path verdict-for-
+        // verdict on a mixed benign/adversarial batch
         let width = benign.n_features();
         let mut flat = Vec::new();
         let mut expect = Vec::new();
@@ -637,11 +611,6 @@ mod tests {
             flat.extend_from_slice(row);
             expect.push(detector.classify(row).unwrap());
         }
-        assert_eq!(detector.classify_batch(&flat, width).unwrap(), expect);
-        assert!(detector.classify_batch(&flat, 0).is_err());
-        assert!(detector.classify_batch(&flat[..flat.len() - 1], width).is_err() || width == 1);
-
-        // the arena paths reproduce the allocating paths verdict-for-verdict
         let mut arena = detector.warmup(width, 16);
         assert_eq!(arena.max_batch(), 16);
         detector.classify_batch_into(&flat, width, &mut arena).unwrap();
@@ -653,7 +622,8 @@ mod tests {
             let row = &flat[i * width..(i + 1) * width];
             assert_eq!(v.to_bits(), detector.predictor().feedback_reward(row).to_bits());
         }
-        for (row, _) in benign.iter().take(4) {
+        for (row, _) in benign.iter().take(4).chain(attacks.test_result.adversarial.iter().take(4))
+        {
             assert_eq!(
                 detector.classify_into(row, &mut arena).unwrap(),
                 detector.classify(row).unwrap()
@@ -661,13 +631,24 @@ mod tests {
             let want = detector.predictor().feedback_reward(row).to_bits();
             assert_eq!(arena.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>(), [want]);
         }
-        for (row, _) in attacks.test_result.adversarial.iter().take(4) {
-            assert_eq!(
-                detector.classify_into(row, &mut arena).unwrap(),
-                detector.classify(row).unwrap()
-            );
-        }
+
+        // hostile shapes are errors on both paths, never a panic: a zero
+        // or wrong row width (even one that divides the batch length), a
+        // ragged batch, and a batch larger than the arena
+        let before = detector.quarantined();
         assert!(detector.classify_batch_into(&flat, 0, &mut arena).is_err());
+        assert!(detector.classify_batch_into(&flat, width - 1, &mut arena).is_err());
+        assert!(detector.classify_batch_into(&flat, 2 * width, &mut arena).is_err());
+        assert!(detector.classify_batch_into(&flat[..flat.len() - 1], width, &mut arena).is_err());
+        assert!(detector.classify_into(&flat[..width - 1], &mut arena).is_err());
+        assert!(detector.classify_into(&[], &mut arena).is_err());
+        assert!(detector.classify(&flat[..width + 1]).is_err());
+        assert!(detector.classify_explain(&flat[..width - 1]).is_err());
+        let mut small = detector.warmup(width, 4);
+        assert!(detector.classify_batch_into(&flat[..5 * width], width, &mut small).is_err());
+        assert_eq!(detector.quarantined(), before, "rejected batches quarantine nothing");
+        detector.classify_batch_into(&flat[..4 * width], width, &mut small).unwrap();
+        assert_eq!(small.verdicts(), &expect[..4]);
 
         // the explanation path scores every zoo model, reproduces the
         // serving verdict, and never touches the quarantine

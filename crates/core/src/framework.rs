@@ -460,6 +460,11 @@ pub struct ServingArtifacts {
 /// composite detector under.
 pub const SERVING_BASELINE: &str = "serving";
 
+/// Rows per serving-path call when recording an integrity baseline
+/// (here and in serving calibration). Verdicts and quarantine order do
+/// not depend on it.
+pub const PROBE_BATCH: usize = 64;
+
 impl Framework {
     /// Trains every runtime component and assembles the deployable
     /// serving artifacts: phases 1–5 as in [`run`](Self::run), then the
@@ -513,14 +518,21 @@ impl Framework {
         // and serving-lull traffic is drawn from that distribution. The
         // serving loop assesses its windowed confusion against exactly
         // this record, so an adversarial campaign registers as drift.
+        // Classified on the serving path, so the baseline is exactly
+        // what serving would have decided on these rows.
+        let width = bundle.test.n_features();
+        let mut arena = detector.warmup(width, PROBE_BATCH);
         let mut matrix = ConfusionMatrix::default();
-        for (row, class) in &bundle.test {
-            let attack = detector.classify(row)?.is_attack();
-            match (attack, Class::is_attack(class)) {
-                (true, true) => matrix.tp += 1,
-                (true, false) => matrix.fp += 1,
-                (false, true) => matrix.fn_ += 1,
-                (false, false) => matrix.tn += 1,
+        let batches = bundle.test.raw_data().chunks(PROBE_BATCH * width);
+        for (rows, labels) in batches.zip(bundle.test.labels().chunks(PROBE_BATCH)) {
+            detector.classify_batch_into(rows, width, &mut arena)?;
+            for (verdict, &class) in arena.verdicts().iter().zip(labels) {
+                match (verdict.is_attack(), class.is_attack()) {
+                    (true, true) => matrix.tp += 1,
+                    (true, false) => matrix.fp += 1,
+                    (false, true) => matrix.fn_ += 1,
+                    (false, false) => matrix.tn += 1,
+                }
             }
         }
         // baseline probing quarantined the flagged test rows; discard

@@ -142,21 +142,6 @@ impl Classifier for Mlp {
         Ok(hmd_nn::sigmoid(logits.get(0, 0)))
     }
 
-    fn predict_proba_batch(&self, rows: &[f64], width: usize) -> Result<Vec<f64>, MlError> {
-        crate::model::validate_batch_shape(rows, width)?;
-        let net = self.net.as_ref().ok_or(MlError::NotFitted)?;
-        if width != self.n_features {
-            return Err(MlError::DimensionMismatch { expected: self.n_features, actual: width });
-        }
-        // One forward pass for the whole batch: every Dense layer is a
-        // single blocked matmul. Per-element accumulation order in the
-        // blocked kernel is row-count-invariant, so each row's logit is
-        // bit-identical to the row-vector path above.
-        let x = Tensor::from_vec(rows.len() / width, width, rows.to_vec());
-        let logits = net.infer(&x);
-        Ok((0..logits.rows()).map(|r| hmd_nn::sigmoid(logits.get(r, 0))).collect())
-    }
-
     fn make_scratch(&self, max_rows: usize) -> PredictScratch {
         let nn = self.net.as_ref().map_or_else(InferScratch::default, |net| {
             InferScratch::for_net(net, self.n_features, max_rows.max(1))
@@ -279,11 +264,12 @@ mod tests {
         let flat: Vec<f64> = (0..d.len()).flat_map(|i| d.row(i).unwrap().to_vec()).collect();
         let mut got = Vec::with_capacity(d.len());
         mlp.predict_proba_into(&flat, 2, &mut scratch, &mut got).unwrap();
-        let want = mlp.predict_proba_batch(&flat, 2).unwrap();
-        assert_eq!(got, want);
+        assert_eq!(got.len(), d.len());
         for (i, row) in flat.chunks(2).enumerate() {
+            let want = mlp.predict_proba_row(row).unwrap().to_bits();
+            assert_eq!(got[i].to_bits(), want, "batched row {i}");
             let p = mlp.predict_proba_row_with(row, &mut scratch).unwrap();
-            assert_eq!(p, mlp.predict_proba_row(row).unwrap(), "row {i}");
+            assert_eq!(p.to_bits(), want, "row {i}");
         }
     }
 

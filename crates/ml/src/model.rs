@@ -80,26 +80,6 @@ pub trait Classifier: Send + Sync + std::fmt::Debug {
         .collect()
     }
 
-    /// Attack probabilities for a flat row-major batch of `width`-wide
-    /// rows (`rows.len()` must be a multiple of `width`).
-    ///
-    /// The contract is **byte-identical equivalence**: the result must
-    /// equal calling [`Self::predict_proba_row`] on each row in order.
-    /// The default implementation does exactly that; models backed by a
-    /// dense linear-algebra substrate (the MLP) override it to push the
-    /// whole batch through one blocked matmul — per-element accumulation
-    /// order is row-count-invariant, so the equivalence holds bitwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] when `width` is zero or
-    /// does not divide `rows.len()`; otherwise propagates
-    /// [`Self::predict_proba_row`] errors.
-    fn predict_proba_batch(&self, rows: &[f64], width: usize) -> Result<Vec<f64>, MlError> {
-        validate_batch_shape(rows, width)?;
-        rows.chunks(width).map(|row| self.predict_proba_row(row)).collect()
-    }
-
     /// Hard decision for one feature vector (threshold 0.5).
     ///
     /// # Errors
@@ -138,15 +118,23 @@ pub trait Classifier: Send + Sync + std::fmt::Debug {
         self.predict_proba_row(row)
     }
 
-    /// Attack probabilities for a flat row-major batch, written into
-    /// `out` (cleared first) — the allocation-free counterpart of
-    /// [`Self::predict_proba_batch`], under the same byte-identical
-    /// equivalence contract. `out` must have capacity for one value per
-    /// row for the call to stay allocation-free.
+    /// Attack probabilities for a flat row-major batch of `width`-wide
+    /// rows, written into `out` (cleared first). `out` must have
+    /// capacity for one value per row for the call to stay
+    /// allocation-free.
+    ///
+    /// The contract is **byte-identical equivalence**: the result must
+    /// equal calling [`Self::predict_proba_row`] on each row in order.
+    /// The default implementation does exactly that; NN-backed models
+    /// override it to push the whole batch through one blocked matmul —
+    /// per-element accumulation order is row-count-invariant, so the
+    /// equivalence holds bitwise.
     ///
     /// # Errors
     ///
-    /// As [`Self::predict_proba_batch`].
+    /// Returns [`MlError::DimensionMismatch`] when `width` is zero or
+    /// does not divide `rows.len()`; otherwise propagates
+    /// [`Self::predict_proba_row`] errors.
     fn predict_proba_into(
         &self,
         rows: &[f64],

@@ -380,57 +380,96 @@ mod tests {
     }
 
     /// Seqlock soundness under a real race: a writer storms through
-    /// epochs (forcing a lazy reset on nearly every slot touch, each
-    /// with many observations to zero) while readers continuously merge
-    /// snapshots. Every observation has the same value `V`, so any
-    /// consistent snapshot satisfies `sum ≈ count × V` up to a few
-    /// in-flight observations — while a torn reset (buckets zeroed,
-    /// stale sum, or vice versa) would skew the identity by a whole
-    /// slot's worth of observations.
+    /// epochs, forcing a lazy reset on every slot touch, while readers
+    /// continuously read every slot. Epoch `e` records `PER_EPOCH`
+    /// observations of its own value, which lands in its own bucket, so
+    /// a consistent read of a slot stamped `e` can hold only:
+    ///
+    /// * observations of `e`'s value — any other bucket, or a sum that
+    ///   is not a multiple of that value, is data attributed to the
+    ///   wrong epoch;
+    /// * all `PER_EPOCH` of them when the writer had already moved past
+    ///   `e` before the reader looked — fewer is a half-zeroed slot.
+    ///
+    /// In-flight writes to the current epoch only ever add its own value
+    /// to its own bucket and sum, so neither property depends on how a
+    /// read interleaves with them (a reader preempted between the bucket
+    /// and sum loads still passes). A reset that readers could observe
+    /// under the old epoch breaks the second property.
     #[test]
     fn concurrent_readers_never_observe_a_partially_reset_slot() {
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-        const V: u64 = 1000;
         const PER_EPOCH: u64 = 64;
-        const EPOCHS: u64 = 4000;
+        const EPOCHS: u64 = 50_000;
+        // 8 value classes over 4 slots: epochs sharing a slot never
+        // share a value
+        let value = |epoch: u64| (1_u64 << (8 + epoch % 8)) | 1;
 
         let h = WindowedHistogram::new(cfg());
+        let n_slots = cfg().slots as u64;
         let now = AtomicU64::new(0);
         let done = AtomicBool::new(false);
+        let started = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             let readers: Vec<_> = (0..3)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut worst = 0u64;
+                        let mut buckets = [0u64; BUCKETS];
+                        started.fetch_add(1, Ordering::AcqRel);
                         while !done.load(Ordering::Acquire) {
-                            let s = h.merged_at(now.load(Ordering::Relaxed));
-                            let skew = s.sum.abs_diff(s.count * V);
-                            worst = worst.max(skew);
+                            // the writer publishes an epoch before writing
+                            // it, so every earlier epoch is complete
+                            let current = cfg().epoch(now.load(Ordering::Acquire));
+                            for (i, slot) in (0..n_slots).zip(h.slots.iter()) {
+                                let (epoch, sum) = slot.read(&mut buckets);
+                                if epoch % n_slots != i {
+                                    // never written: still the default tag
+                                    assert_eq!((buckets.iter().sum::<u64>(), sum), (0, 0));
+                                    continue;
+                                }
+                                let v = value(epoch);
+                                let own = bucket_index(v);
+                                for (b, &count) in buckets.iter().enumerate() {
+                                    assert!(
+                                        b == own || count == 0,
+                                        "slot {i} at epoch {epoch} holds {count} stale \
+                                         observation(s) in bucket {b}"
+                                    );
+                                }
+                                let count = buckets[own];
+                                if epoch < current {
+                                    assert_eq!(
+                                        (count, sum),
+                                        (PER_EPOCH, PER_EPOCH * v),
+                                        "finished epoch {epoch} read half-reset (current {current})"
+                                    );
+                                } else {
+                                    assert!(count <= PER_EPOCH, "epoch {epoch}: count {count}");
+                                    assert!(
+                                        sum % v == 0 && sum <= PER_EPOCH * v,
+                                        "epoch {epoch}: sum {sum} is not whole observations of {v}"
+                                    );
+                                }
+                            }
                         }
-                        worst
                     })
                 })
                 .collect();
+            // race from the first epoch on
+            while started.load(Ordering::Acquire) < readers.len() {
+                std::thread::yield_now();
+            }
             for e in 0..EPOCHS {
                 let t = e * 10 * MS;
-                now.store(t, Ordering::Relaxed);
+                now.store(t, Ordering::Release);
                 for _ in 0..PER_EPOCH {
-                    h.record_at(t, V);
+                    h.record_at(t, value(e));
                 }
             }
             done.store(true, Ordering::Release);
             for r in readers {
-                // a reader that straddles single in-flight observations
-                // can be off by at most one observation per slot; a torn
-                // reset would show up as ~PER_EPOCH × V
-                let worst = r.join().expect("reader panicked");
-                let slots = cfg().slots as u64;
-                assert!(
-                    worst <= slots * V,
-                    "reader saw a torn slot: worst sum/count skew {worst} (> {} allowed)",
-                    slots * V
-                );
+                r.join().expect("a reader saw a torn slot");
             }
         });
     }

@@ -162,32 +162,6 @@ impl A2cAgent {
         self.critic.infer(&Tensor::row_vector(state)).get(0, 0)
     }
 
-    /// Critic values for a flat row-major batch of states, in one
-    /// forward pass: every Dense layer becomes a single blocked matmul
-    /// over the whole batch. The blocked kernel's per-element
-    /// accumulation order is row-count-invariant, so each returned value
-    /// is bit-identical to [`value`](Self::value) on that row — the
-    /// batched serving path relies on this equivalence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len()` is not a multiple of the state width.
-    #[must_use]
-    pub fn values(&self, states: &[f64]) -> Vec<f64> {
-        assert!(
-            states.len().is_multiple_of(self.state_dim),
-            "state batch width mismatch: {} not a multiple of {}",
-            states.len(),
-            self.state_dim
-        );
-        if states.is_empty() {
-            return Vec::new();
-        }
-        let n = states.len() / self.state_dim;
-        let out = self.critic.infer(&Tensor::from_vec(n, self.state_dim, states.to_vec()));
-        (0..n).map(|r| out.get(r, 0)).collect()
-    }
-
     /// Activation scratch sized for the critic at batches of up to
     /// `max_rows` rows — warmup-time companion to
     /// [`value_with`](Self::value_with) and
@@ -209,9 +183,13 @@ impl A2cAgent {
         self.critic.infer_into(state, 1, self.state_dim, scratch)[0]
     }
 
-    /// [`values`](Self::values) written into `out` (cleared first)
-    /// through caller-owned scratch: bit-identical results, zero heap
-    /// allocations when `out` has capacity for one value per state.
+    /// Critic values for a flat row-major batch of states, written into
+    /// `out` (cleared first), in one forward pass through caller-owned
+    /// scratch: every Dense layer becomes a single blocked matmul over
+    /// the whole batch. The blocked kernel's per-element accumulation
+    /// order is row-count-invariant, so each value is bit-identical to
+    /// [`value`](Self::value) on that row. Zero heap allocations when
+    /// `out` has capacity for one value per state.
     ///
     /// # Panics
     ///

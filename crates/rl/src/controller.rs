@@ -214,44 +214,9 @@ impl ConstraintController {
         &self.ucb
     }
 
-    /// Classifies one sample through the selected model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates prediction errors from the selected model.
-    pub fn predict_row(
-        &self,
-        models: &[Box<dyn Classifier>],
-        row: &[f64],
-    ) -> Result<bool, RlError> {
-        models[self.selected_model()]
-            .predict_row(row)
-            .map_err(|e| RlError::Model(e.to_string()))
-    }
-
-    /// Classifies a flat row-major batch of `width`-wide samples through
-    /// the selected model in one call — the batched serving path's entry
-    /// into the model tier. Verdicts are identical to
-    /// [`predict_row`](Self::predict_row) on each row in order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates prediction errors from the selected model.
-    pub fn predict_batch(
-        &self,
-        models: &[Box<dyn Classifier>],
-        rows: &[f64],
-        width: usize,
-    ) -> Result<Vec<bool>, RlError> {
-        let probas = models[self.selected_model()]
-            .predict_proba_batch(rows, width)
-            .map_err(|e| RlError::Model(e.to_string()))?;
-        Ok(probas.into_iter().map(|p| p >= 0.5).collect())
-    }
-
-    /// [`predict_row`](Self::predict_row) through caller-owned scratch
-    /// for the selected model — identical verdict, zero heap allocations
-    /// once `scratch` came from that model's
+    /// Classifies one sample through the selected model (attack when its
+    /// probability is at least 0.5), using caller-owned scratch — zero
+    /// heap allocations once `scratch` came from that model's
     /// [`make_scratch`](Classifier::make_scratch).
     ///
     /// # Errors
@@ -269,9 +234,11 @@ impl ConstraintController {
         Ok(p >= 0.5)
     }
 
-    /// [`predict_batch`](Self::predict_batch) written into `out`
-    /// (cleared first), with `probs` as the probability buffer —
-    /// identical verdicts, zero heap allocations when both buffers have
+    /// Classifies a flat row-major batch of `width`-wide samples through
+    /// the selected model in one call, verdicts written into `out`
+    /// (cleared first) with `probs` as the probability buffer. Verdicts
+    /// are identical to [`predict_row_with`](Self::predict_row_with) on
+    /// each row in order; zero heap allocations when both buffers have
     /// capacity for one entry per row.
     ///
     /// # Errors

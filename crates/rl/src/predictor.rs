@@ -229,28 +229,6 @@ impl AdversarialPredictor {
         flagged
     }
 
-    /// Batched [`is_adversarial`](Self::is_adversarial): one critic
-    /// forward pass over a flat row-major batch. Decisions (and the
-    /// telemetry decision/flag counters) are identical to calling the
-    /// scalar path on each row in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len()` is not a multiple of the training width.
-    #[must_use]
-    pub fn is_adversarial_batch(&self, rows: &[f64]) -> Vec<bool> {
-        let flags: Vec<bool> =
-            self.agent.values(rows).into_iter().map(|v| v > self.threshold).collect();
-        if hmd_telemetry::enabled() && !flags.is_empty() {
-            hmd_telemetry::metrics::counter("rl.predictor.decisions").add(flags.len() as u64);
-            let flagged = flags.iter().filter(|&&f| f).count() as u64;
-            if flagged > 0 {
-                hmd_telemetry::metrics::counter("rl.predictor.flags").add(flagged);
-            }
-        }
-        flags
-    }
-
     /// Activation scratch sized for the critic at batches of up to
     /// `max_rows` rows — warmup-time companion to the `_with`/`_into`
     /// decision paths below.
@@ -289,10 +267,13 @@ impl AdversarialPredictor {
         flagged
     }
 
-    /// [`is_adversarial_batch`](Self::is_adversarial_batch) written into
-    /// `flags` (cleared first), with `values` as the critic-value buffer:
-    /// identical decisions and telemetry, zero heap allocations when both
-    /// buffers have capacity for one entry per row.
+    /// Batched [`is_adversarial`](Self::is_adversarial): one critic
+    /// forward pass over a flat row-major batch, decisions written into
+    /// `flags` (cleared first) and the critic values they were made on
+    /// into `values`. Decisions and the telemetry decision/flag counters
+    /// are identical to calling the scalar path on each row in order;
+    /// zero heap allocations when both buffers have capacity for one
+    /// entry per row.
     ///
     /// # Panics
     ///

@@ -7,11 +7,13 @@
 //! re-executes every captured window through the detector, and asserts
 //! that the replayed verdicts — and their FNV-1a digest — are
 //! byte-identical to what the live shard served. It also re-scores
-//! every window through the critic and asserts the recorded critic
-//! value is bit-equal to it. It then prints a per-window explanation
-//! trace (critic score vs. threshold, routed model, per-model
-//! probabilities, all recomputed from the row) so the alert can be
-//! understood offline.
+//! every window on the detector's reference path
+//! (`AdaptiveDetector::classify_explain`) and asserts the recorded
+//! critic value and verdict equal it, bit for bit. It then prints a
+//! per-window explanation trace (critic score vs. threshold, routed
+//! model, per-model probabilities, all recomputed from the row) so the
+//! alert can be understood offline. Rows that do not match the
+//! detector's feature width are an error, not a panic.
 //!
 //! ```text
 //! replay <bundle.json> [--explain N]
@@ -192,11 +194,12 @@ fn main() {
             }
             flat.extend_from_slice(&w.row);
         }
-        let verdicts = artifacts
+        let mut arena = artifacts.detector.warmup(width, end - start);
+        artifacts
             .detector
-            .classify_batch(&flat, width)
+            .classify_batch_into(&flat, width, &mut arena)
             .unwrap_or_else(|e| fail(&format!("replay classification failed: {e}")));
-        replayed.extend(verdicts);
+        replayed.extend_from_slice(arena.verdicts());
         start = end;
     }
 
@@ -222,9 +225,11 @@ fn main() {
         bundle.verdict_digest
     );
 
-    // every window's recorded critic value must be the critic value
-    // the pinned generation computes for its row, bit for bit: the
-    // serving detector's batched critic pass is what the ring recorded
+    // every window's recorded critic value and verdict must be what
+    // the pinned generation's reference path computes for its row, bit
+    // for bit: the serving path's batched critic pass is what the ring
+    // recorded, and the reference path shares only the matmul kernel
+    // with it
     let explained: Vec<_> = bundle
         .windows
         .iter()
@@ -241,6 +246,16 @@ fn main() {
             eprintln!(
                 "replay: MISMATCH sample {} gen {}: recorded critic {:e} replayed {:e}",
                 w.sample, w.generation, w.adv_score, trace.adv_score
+            );
+        }
+        if w.verdict != trace.verdict {
+            mismatches += 1;
+            eprintln!(
+                "replay: MISMATCH sample {} gen {}: recorded {} reference path {}",
+                w.sample,
+                w.generation,
+                verdict_name(w.verdict),
+                verdict_name(trace.verdict)
             );
         }
     }

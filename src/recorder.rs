@@ -572,7 +572,6 @@ fn config_to_json(cfg: &ServingConfig, shards: usize) -> Json {
         ("calibration_samples".to_owned(), Json::UInt(cfg.calibration_samples as u64)),
         ("stream_seed".to_owned(), Json::UInt(cfg.stream_seed)),
         ("batch".to_owned(), Json::UInt(cfg.batch as u64)),
-        ("arena".to_owned(), Json::Bool(cfg.arena)),
         ("replay".to_owned(), Json::UInt(cfg.replay as u64)),
         ("retrain_every".to_owned(), Json::UInt(cfg.retrain_every as u64)),
         ("recorder".to_owned(), Json::UInt(cfg.recorder as u64)),
@@ -580,6 +579,9 @@ fn config_to_json(cfg: &ServingConfig, shards: usize) -> Json {
     ])
 }
 
+/// Inverse of [`config_to_json`]. Keys it does not read are ignored —
+/// among them `arena`, which bundles captured while the serving config
+/// still had an allocating-path switch carry.
 fn config_from_json(j: &Json) -> Result<(ServingConfig, usize), JsonError> {
     let base_seed: u64 = field(j, "base_seed")?;
     let mut cfg = ServingConfig::quick(base_seed);
@@ -609,7 +611,6 @@ fn config_from_json(j: &Json) -> Result<(ServingConfig, usize), JsonError> {
     cfg.calibration_samples = field(j, "calibration_samples")?;
     cfg.stream_seed = field(j, "stream_seed")?;
     cfg.batch = field(j, "batch")?;
-    cfg.arena = field(j, "arena")?;
     cfg.replay = field(j, "replay")?;
     cfg.retrain_every = field(j, "retrain_every")?;
     cfg.recorder = field(j, "recorder")?;

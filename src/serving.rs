@@ -49,28 +49,35 @@
 //!
 //! Monitoring observes and never feeds back: the verdict stream (pinned
 //! by [`ServingOutcome::digest`]) is byte-identical with monitoring on
-//! or off, traced or untraced, batched or scalar, arena or allocating,
-//! at any thread count — `tests/determinism.rs` asserts it. Batching
-//! preserves verdicts bit-for-bit because the blocked matmul's
-//! per-element accumulation order is row-count-invariant.
+//! or off, traced or untraced, at any batch size and thread count —
+//! `tests/determinism.rs` asserts it. Batching preserves verdicts
+//! bit-for-bit because the blocked matmul's per-element accumulation
+//! order is row-count-invariant.
 //!
-//! # Allocation-free steady state
+//! # One inference path
 //!
 //! Every session warms up a per-shard [`hmd_core::InferArena`] sized
-//! from the model topology and [`ServingConfig::batch`]; with
-//! [`ServingConfig::arena`] on (the default), classification runs
-//! entirely inside those preallocated buffers. With a replay ring
-//! ([`ServingConfig::replay`]) standing in for live traffic synthesis
-//! the whole steady-state loop — draw, classify, monitor, alert, and
-//! integrity checks included — performs zero heap allocations per
-//! window; `tests/alloc.rs` proves it under a counting global
-//! allocator.
+//! from the model topology and [`ServingConfig::batch`], and every
+//! window — [`ServingSession::step`] is a batch of one — is classified
+//! by [`AdaptiveDetector::classify_batch_into`] inside those
+//! preallocated buffers. The detector's only other decision body is
+//! the reference path, [`AdaptiveDetector::classify_explain`], which
+//! scores one row through the allocating Tensor forward pass. It stays
+//! because it shares no code with the arena path but the matmul
+//! kernel: forensic replay and the determinism suite check every
+//! served verdict and critic value against it, bit for bit.
+//!
+//! With a replay ring ([`ServingConfig::replay`]) standing in for live
+//! traffic synthesis the whole steady-state loop — draw, classify,
+//! monitor, alert, and integrity checks included — performs zero heap
+//! allocations per window; `tests/alloc.rs` proves it under a counting
+//! global allocator.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use hmd_core::framework::SERVING_BASELINE;
+use hmd_core::framework::{PROBE_BATCH, SERVING_BASELINE};
 use hmd_core::{
     AdaptiveDetector, CoreError, Framework, FrameworkConfig, InferArena, ServingArtifacts, Verdict,
 };
@@ -147,17 +154,10 @@ pub struct ServingConfig {
     pub calibration_samples: usize,
     /// Seed for traffic interleaving (stream + adversarial injection).
     pub stream_seed: u64,
-    /// Samples classified per detector call: 1 is the scalar path, more
-    /// vectorizes feature-select + scale + classify so the whole batch
-    /// goes through one blocked matmul. Verdicts are identical at any
-    /// batch size.
+    /// Samples classified per detector call: more than 1 sends the
+    /// whole batch through one blocked matmul. Verdicts are identical
+    /// at any batch size.
     pub batch: usize,
-    /// Route classification through the warmed-up per-shard
-    /// [`InferArena`] (zero steady-state heap allocations) instead of
-    /// the allocating detector paths. Verdicts are bit-identical either
-    /// way; the switch exists so the determinism suite and benchmarks
-    /// can compare the two paths.
-    pub arena: bool,
     /// When nonzero, pre-draw this many samples at construction and
     /// cycle through them instead of synthesizing live traffic. The
     /// replay ring removes the stream generator's per-app refill
@@ -231,7 +231,6 @@ impl ServingConfig {
             calibration_samples: 200,
             stream_seed: seed ^ 0x5452_4146, // "TRAF"
             batch: 1,
-            arena: true,
             replay: 0,
             retrain_every: 0,
             base_seed: seed,
@@ -817,8 +816,8 @@ pub struct ServingSession {
     batch_rows: Vec<f64>,
     /// Ground truth per batched sample, parallel to `batch_rows`.
     batch_truth: Vec<bool>,
-    /// The warmed-up per-shard inference arena (see
-    /// [`ServingConfig::arena`]).
+    /// The warmed-up per-shard inference arena every classification
+    /// runs in.
     arena: InferArena,
     /// What calibration observed, when it ran (see
     /// [`ServingConfig::calibration_samples`]).
@@ -1123,8 +1122,8 @@ impl ServingSession {
 
     /// The bookkeeping half of one sample: flight-recorder write,
     /// digest, counters, clock and (when enabled) monitoring, history
-    /// and stage-trace promotion — identical between the scalar and
-    /// batched paths. `row` is the engineered, scaled input the verdict
+    /// and stage-trace promotion — identical at every batch size.
+    /// `row` is the engineered, scaled input the verdict
     /// was served for and `adv_score` the critic value the detector
     /// decided on; the ring copies both, allocation-free.
     ///
@@ -1209,61 +1208,32 @@ impl ServingSession {
     ///
     /// Propagates detector failures.
     pub fn step(&mut self) -> Result<bool, CoreError> {
-        if self.processed >= self.cfg.samples {
-            return Ok(false);
-        }
-        self.sync_generation()?;
-        let t_start = clock::now_ns();
-        self.transform_ns = 0;
-        let truth_attack = self.next_sample(self.processed)?;
-        let t_model = clock::now_ns();
-        let verdict = if self.cfg.arena {
-            self.artifacts.detector.classify_into(&self.scratch, &mut self.arena)?
-        } else {
-            self.artifacts.detector.classify(&self.scratch)?
-        };
-        let t_end = clock::now_ns();
-        let (adv_score, critic_ns) = if self.cfg.arena {
-            (self.arena.values()[0], self.arena.critic_ns())
-        } else {
-            // comparison-only allocating path: score the critic again
-            (self.artifacts.detector.predictor().feedback_reward(&self.scratch), 0)
-        };
-        let transform_ns = self.transform_ns;
-        let draw_ns = t_model.saturating_sub(t_start).saturating_sub(transform_ns);
-        // lend the scratch row out without allocating (mem::take leaves
-        // an empty Vec behind); record_verdict needs `&mut self` plus
-        // the row
-        let row = std::mem::take(&mut self.scratch);
-        let timing = StageTiming {
-            latency_ns: t_end.saturating_sub(t_start),
-            model_latency_ns: t_end.saturating_sub(t_model),
-            draw_ns,
-            transform_ns,
-            critic_ns,
-        };
-        self.record_verdict(&row, truth_attack, verdict, adv_score, timing);
-        self.scratch = row;
-        Ok(true)
+        Ok(self.step_up_to(1)? > 0)
     }
 
     /// Classifies up to [`ServingConfig::batch`] samples in one
     /// detector call and returns how many were processed (0 once the
-    /// budget is spent). Traffic is drawn per sample in stream order,
-    /// then the whole batch goes through the predictor critic and the
-    /// routed model as single blocked matmuls; verdicts, digests and
-    /// alert choreography are bit-identical to [`step`](Self::step).
+    /// budget is spent). Verdicts, digests and alert choreography are
+    /// bit-identical to [`step`](Self::step) at any batch size.
     ///
     /// # Errors
     ///
     /// Propagates detector failures.
     pub fn step_batch(&mut self) -> Result<usize, CoreError> {
+        self.step_up_to(self.cfg.batch.max(1))
+    }
+
+    /// Classifies up to `max` samples in one detector call. Traffic is
+    /// drawn per sample in stream order, then the whole batch goes
+    /// through the predictor critic and the routed model as single
+    /// blocked matmuls inside the warmed-up arena.
+    fn step_up_to(&mut self, max: usize) -> Result<usize, CoreError> {
         let remaining = self.cfg.samples.saturating_sub(self.processed);
         if remaining == 0 {
             return Ok(0);
         }
         self.sync_generation()?;
-        let mut n = self.cfg.batch.max(1).min(remaining);
+        let mut n = max.min(remaining);
         if let Some(hub) = &self.hub {
             if hub.retrain_every > 0 {
                 // never straddle a retraining boundary: every sample of
@@ -1272,11 +1242,6 @@ impl ServingSession {
                 // retraining
                 n = n.min(hub.retrain_every - self.processed % hub.retrain_every);
             }
-        }
-        if n == 1 {
-            // step() re-checks the boundary; this shard just synced, so
-            // it will not block again
-            return Ok(usize::from(self.step()?));
         }
         let width = self.feature_idx.len();
         let t_start = clock::now_ns();
@@ -1296,12 +1261,7 @@ impl ServingSession {
             .saturating_sub(t_start)
             .saturating_sub(self.transform_ns)
             / n as u64;
-        let allocating = if self.cfg.arena {
-            self.artifacts.detector.classify_batch_into(&self.batch_rows, width, &mut self.arena)?;
-            None
-        } else {
-            Some(self.artifacts.detector.classify_batch(&self.batch_rows, width)?)
-        };
+        self.artifacts.detector.classify_batch_into(&self.batch_rows, width, &mut self.arena)?;
         let t_end = clock::now_ns();
         // amortized per-sample latencies: the histograms stay
         // comparable across batch sizes
@@ -1310,19 +1270,15 @@ impl ServingSession {
             model_latency_ns: t_end.saturating_sub(t_model) / n as u64,
             draw_ns,
             transform_ns,
-            critic_ns: if allocating.is_some() { 0 } else { self.arena.critic_ns() / n as u64 },
+            critic_ns: self.arena.critic_ns() / n as u64,
         };
-        // lend the batch buffers out allocation-free (see step())
+        // lend the batch buffers out without allocating (mem::take
+        // leaves an empty Vec behind): record_verdict needs `&mut self`
+        // plus the rows
         let rows = std::mem::take(&mut self.batch_rows);
         let truths = std::mem::take(&mut self.batch_truth);
         for (k, row) in rows.chunks_exact(width).enumerate() {
-            let (verdict, adv_score) = match &allocating {
-                None => (self.arena.verdicts()[k], self.arena.values()[k]),
-                // comparison-only allocating path: score the critic again
-                Some(verdicts) => {
-                    (verdicts[k], self.artifacts.detector.predictor().feedback_reward(row))
-                }
-            };
+            let (verdict, adv_score) = (self.arena.verdicts()[k], self.arena.values()[k]);
             self.record_verdict(row, truths[k], verdict, adv_score, timing);
         }
         self.batch_rows = rows;
@@ -1455,8 +1411,7 @@ impl ServingSession {
         self.shared.push_incident(bundle);
     }
 
-    /// Runs [`step_batch`](Self::step_batch) until the budget is spent
-    /// (with the default `batch: 1` this is the scalar path).
+    /// Runs [`step_batch`](Self::step_batch) until the budget is spent.
     ///
     /// # Errors
     ///
@@ -1849,22 +1804,34 @@ fn calibrate(
         isolation: cfg.framework.corpus.isolation,
         seed: cfg.stream_seed ^ 0x43414C, // "CAL"
     });
-    let mut row = vec![0.0; feature_idx.len()];
+    let width = feature_idx.len();
+    let mut arena = artifacts.detector.warmup(width, PROBE_BATCH);
+    let mut rows = Vec::with_capacity(PROBE_BATCH * width);
+    let mut truth = Vec::with_capacity(PROBE_BATCH);
     let mut matrix = ConfusionMatrix::default();
     let mut flagged = 0;
-    for _ in 0..cfg.calibration_samples {
-        let w = stream.next().expect("stream is endless");
-        for (dst, &src) in row.iter_mut().zip(feature_idx) {
-            *dst = w.values[src];
+    let mut left = cfg.calibration_samples;
+    while left > 0 {
+        let n = left.min(PROBE_BATCH);
+        left -= n;
+        rows.clear();
+        truth.clear();
+        for _ in 0..n {
+            let w = stream.next().expect("stream is endless");
+            let start = rows.len();
+            rows.extend(feature_idx.iter().map(|&src| w.values[src]));
+            artifacts.bundle.scaler.transform_row(&mut rows[start..])?;
+            truth.push(w.is_malware());
         }
-        artifacts.bundle.scaler.transform_row(&mut row)?;
-        let verdict = artifacts.detector.classify(&row)?;
-        flagged += usize::from(verdict == Verdict::AdversarialAttack);
-        match (w.is_malware(), verdict.is_attack()) {
-            (true, true) => matrix.tp += 1,
-            (true, false) => matrix.fn_ += 1,
-            (false, true) => matrix.fp += 1,
-            (false, false) => matrix.tn += 1,
+        artifacts.detector.classify_batch_into(&rows, width, &mut arena)?;
+        for (&verdict, &malware) in arena.verdicts().iter().zip(&truth) {
+            flagged += usize::from(verdict == Verdict::AdversarialAttack);
+            match (malware, verdict.is_attack()) {
+                (true, true) => matrix.tp += 1,
+                (true, false) => matrix.fn_ += 1,
+                (false, true) => matrix.fp += 1,
+                (false, false) => matrix.tn += 1,
+            }
         }
     }
     // calibration traffic is clean by construction: what the predictor

@@ -7,8 +7,7 @@
 //! the detector's critic value into its preallocated ring), the
 //! multi-resolution metrics history (flushing a point every
 //! `FINE_EVERY` windows) and the tail-sampling trace promoter included
-//! — must perform **zero** heap allocations, on both the scalar and the
-//! batched path.
+//! — must perform **zero** heap allocations, at batch 1 and batched.
 //!
 //! The counting allocator is process-global, so this integration test
 //! lives in its own binary: no sibling test's allocations can bleed
@@ -22,7 +21,7 @@ use hmd_util::par;
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
 /// Builds a replay-ring session around shared artifacts: uniform
-/// traffic (no burst), arena path, `batch` samples per detector call.
+/// traffic (no burst), `batch` samples per detector call.
 fn replay_session(
     base: &hmd::ServingConfig,
     artifacts: &std::sync::Arc<hmd::core::ServingArtifacts>,
@@ -53,7 +52,7 @@ fn serving_steady_state_allocates_nothing() {
     base.rules = trainer.slo_rules().to_vec();
     drop(trainer);
 
-    // scalar (batch 1) and batched (batch 8) paths measured separately
+    // batch 1 and batch 8 measured separately
     for batch in [1usize, 8] {
         let mut session = replay_session(&base, &artifacts, batch);
         // warm up: fill the sliding windows twice over and let the

@@ -174,67 +174,96 @@ fn serving_monitoring_does_not_change_verdicts() {
     assert_eq!(off.alert_transitions, 0);
 }
 
-/// The batched predict path is bit-identical to the scalar path, and
-/// the arena-backed (allocation-free) paths are bit-identical to the
-/// legacy allocating paths: the blocked matmul's per-output-element
-/// accumulation order is row-count-invariant and the arena kernels
-/// replay the exact float operation order, so neither grouping samples
-/// into batches nor routing through preallocated buffers (at any worker
-/// thread count) may move a single verdict. The FNV digest over the
-/// verdict stream pins the whole sequence, not just the counts.
+/// Asserts every window a session's flight recorder holds matches the
+/// detector's reference path on its row: the served verdict, and the
+/// critic value the serving path decided on, bit for bit. `detector_at`
+/// maps a window's generation to the detector that served it.
+fn assert_served_windows_match_reference<'a>(
+    windows: &[hmd::recorder::IncidentWindow],
+    detector_at: impl Fn(u64) -> &'a hmd::core::AdaptiveDetector,
+    what: &str,
+) {
+    for w in windows {
+        let trace = detector_at(w.generation).classify_explain(&w.row).expect("explain");
+        assert_eq!(w.verdict, trace.verdict, "{what}: verdict of sample {}", w.sample);
+        assert_eq!(
+            w.adv_score.to_bits(),
+            trace.adv_score.to_bits(),
+            "{what}: critic value of sample {}",
+            w.sample
+        );
+    }
+}
+
+/// The batched serving path is verdict-invariant and agrees with the
+/// reference path: the blocked matmul's per-output-element accumulation
+/// order is row-count-invariant, so neither grouping samples into
+/// batches nor the worker thread count may move a single verdict. The
+/// FNV digest over the verdict stream pins the whole sequence, not just
+/// the counts; the flight recorder, sized to hold every window, shows
+/// each served verdict and critic value equals what the row-at-a-time
+/// reference path (`classify_explain`, sharing only the matmul kernel)
+/// computes.
 #[test]
-fn serving_batch_size_thread_count_and_arena_are_verdict_invariant() {
+fn serving_batch_size_and_thread_count_are_verdict_invariant_and_match_the_reference() {
     // train once, share the artifacts across every configuration
     let base = {
         let mut cfg = hmd::ServingConfig::quick(13);
         cfg.samples = 250;
+        cfg.recorder = cfg.samples;
         cfg
     };
     let artifacts = hmd::ServingSession::start(base.clone()).expect("train").artifacts_handle();
 
-    let run = |batch: usize, arena: bool| {
+    let run = |batch: usize| {
         let mut cfg = base.clone();
         cfg.batch = batch;
-        cfg.arena = arena;
         // the baseline was calibrated by the training session above;
         // recalibrating per run would only repeat the same work
         cfg.calibration_samples = 0;
         let mut session =
             hmd::ServingSession::with_artifacts(cfg, artifacts.clone()).expect("assemble");
-        session.run_to_completion().expect("run")
+        let outcome = session.run_to_completion().expect("run");
+        let windows = session.flight_recorder().expect("recorder on").snapshot_windows();
+        (outcome, windows)
     };
 
     let mut outcomes = Vec::new();
     for threads in [1usize, 4] {
         par::set_thread_override(Some(threads));
         for batch in [1usize, 7, 64] {
-            for arena in [true, false] {
-                outcomes.push((threads, batch, arena, run(batch, arena)));
-            }
+            outcomes.push((threads, batch, run(batch)));
         }
     }
     par::set_thread_override(None);
 
-    let (_, _, _, reference) = &outcomes[0];
+    let (_, _, (reference, _)) = &outcomes[0];
     assert_eq!(reference.processed, 250);
-    for (threads, batch, arena, outcome) in &outcomes {
+    for (threads, batch, (outcome, windows)) in &outcomes {
         assert_eq!(
             outcome.digest, reference.digest,
-            "digest moved at batch {batch}, {threads} thread(s), arena={arena}"
+            "digest moved at batch {batch}, {threads} thread(s)"
         );
         assert_eq!(outcome.verdicts, reference.verdicts);
         assert_eq!(outcome.drift_events, reference.drift_events);
         assert_eq!(outcome.alert_transitions, reference.alert_transitions);
+        assert_eq!(windows.len(), 250, "the recorder holds every window");
+        assert_served_windows_match_reference(
+            windows,
+            |_| &artifacts.detector,
+            &format!("batch {batch}, {threads} thread(s)"),
+        );
     }
 }
 
 /// The arms-race loop is a pure function of the seed: with
 /// `retrain_every` on, the swap schedule, the post-swap verdict stream
 /// and the hub's promotion statistics are byte-identical across reruns,
-/// at any batch size, thread count, and arena mode. Batches never
-/// straddle a retraining boundary, every round drains the quarantine in
-/// a canonical order, and the controller is cloned (never re-profiled),
-/// so nothing wall-clock leaks into the digest.
+/// at any batch size and thread count. Batches never straddle a
+/// retraining boundary, every round drains the quarantine in a
+/// canonical order, and the controller is cloned (never re-profiled),
+/// so nothing wall-clock leaks into the digest. Every served window
+/// also matches the reference path of the generation that served it.
 #[test]
 fn serving_retraining_schedule_and_digests_are_seed_deterministic() {
     let base = {
@@ -246,16 +275,27 @@ fn serving_retraining_schedule_and_digests_are_seed_deterministic() {
 
     // boundaries at 80 (mid-burst: quarantine is non-empty, so the
     // round swaps models) and 160 → the run must finish on generation 2
-    let run = |batch: usize, arena: bool| {
+    let run = |batch: usize| {
         let mut cfg = base.clone();
         cfg.retrain_every = 80;
         cfg.batch = batch;
-        cfg.arena = arena;
         cfg.calibration_samples = 0;
+        cfg.recorder = cfg.samples;
+        cfg.retain_generations = true;
         let mut session =
             hmd::ServingSession::with_artifacts(cfg, artifacts.clone()).expect("assemble");
         let outcome = session.run_to_completion().expect("run");
         let hub = session.hub().expect("retraining session has a hub");
+        let served: Vec<_> = (0..=hub.generation())
+            .map(|g| hub.artifacts_at(g).expect("retained generation"))
+            .collect();
+        let windows = session.flight_recorder().expect("recorder on").snapshot_windows();
+        assert_eq!(windows.len(), 240, "the recorder holds every window");
+        assert_served_windows_match_reference(
+            &windows,
+            |g| &served[usize::try_from(g).expect("small generation")].detector,
+            &format!("retraining at batch {batch}"),
+        );
         (outcome, hub.generation(), hub.swaps(), hub.absorbed())
     };
 
@@ -263,28 +303,26 @@ fn serving_retraining_schedule_and_digests_are_seed_deterministic() {
     for threads in [1usize, 4] {
         par::set_thread_override(Some(threads));
         for batch in [1usize, 7, 64] {
-            for arena in [true, false] {
-                outcomes.push((threads, batch, arena, run(batch, arena)));
-            }
+            outcomes.push((threads, batch, run(batch)));
         }
     }
     // exact rerun of the first configuration: same bytes again
     par::set_thread_override(Some(1));
-    outcomes.push((1, 1, true, run(1, true)));
+    outcomes.push((1, 1, run(1)));
     par::set_thread_override(None);
 
-    let (_, _, _, reference) = &outcomes[0];
+    let (_, _, reference) = &outcomes[0];
     let (outcome, generation, swaps, absorbed) = reference;
     assert_eq!(outcome.processed, 240);
     assert_eq!(*generation, 2, "240 samples at retrain_every 80 schedule two rounds");
     assert_eq!(outcome.generation, 2);
     assert!(*swaps >= 1, "the mid-burst boundary must swap models");
     assert!(*absorbed >= 1, "a swap absorbs at least one quarantined row");
-    for (threads, batch, arena, got) in &outcomes {
+    for (threads, batch, got) in &outcomes {
         let (o, g, s, a) = got;
         assert_eq!(
             o.digest, outcome.digest,
-            "retraining digest moved at batch {batch}, {threads} thread(s), arena={arena}"
+            "retraining digest moved at batch {batch}, {threads} thread(s)"
         );
         assert_eq!(o.verdicts, outcome.verdicts);
         assert_eq!(o.drift_events, outcome.drift_events);
