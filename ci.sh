@@ -9,6 +9,13 @@ cd "$(dirname "$0")"
 echo "== build (release, offline) =="
 cargo build --release --offline
 
+echo "== hmdbench build (its own manifest, as the benchmark builds it) =="
+# The declared benchmark (BENCHMARK.json) is also a package outside the
+# workspace, with its own lock file and release profile. The workspace
+# build compiles the same sources as an `hmd-bench` bin; this step
+# builds them the way the benchmark is built and run.
+cargo build --release --offline --manifest-path crates/bench/src/bin/hmdbench/Cargo.toml
+
 echo "== test (offline) =="
 cargo test -q --workspace --offline
 

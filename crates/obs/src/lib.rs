@@ -33,9 +33,10 @@
 //!   renders SVG sparklines.
 //!
 //! The same determinism contract as `hmd-telemetry` applies: nothing in
-//! this crate feeds back into the computation it observes, so serving
-//! with monitoring on or off produces byte-identical verdicts
-//! (`tests/determinism.rs` in the workspace root pins this).
+//! this crate feeds back into the computation it observes, so every
+//! served verdict is a pure function of its row and model generation
+//! (`tests/determinism.rs` in the workspace root checks each one
+//! against the detector's reference path).
 
 pub mod alert;
 pub mod dashboard;

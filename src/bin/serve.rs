@@ -3,8 +3,8 @@
 //! Trains the full pipeline on the simulated corpus, then streams a
 //! seeded benign/malware/adversarial traffic mix through the deployed
 //! detector while exposing `/metrics`, `/healthz`, `/snapshot.json`,
-//! `/history.json`, `/traces.json` and the self-contained `/dashboard`
-//! over HTTP. After the sample budget is spent the process lingers,
+//! `/history.json`, `/traces.json`, `/incidents` and the self-contained
+//! `/dashboard` over HTTP. After the sample budget is spent the process lingers,
 //! still answering scrapes, until `/quit` is hit or the linger timeout
 //! expires.
 //!
@@ -13,16 +13,17 @@
 //!       [--burst START,END,FRACTION] [--window-slots N] [--slot-ms MS]
 //!       [--kind fast_inference|small_footprint|best_detection]
 //!       [--shards N] [--batch N] [--http-workers N]
-//!       [--retrain-every N] [--linger-secs S] [--no-monitoring]
+//!       [--retrain-every N] [--linger-secs S]
 //! ```
 //!
-//! `--shards N` runs N independently seeded serving shards (one OS
-//! thread each) behind one merged endpoint; `--batch N` classifies N
-//! samples per detector call (verdicts are identical at any batch
-//! size); `--http-workers N` sizes the endpoint's connection pool;
-//! `--retrain-every N` closes the arms-race loop, draining the
-//! quarantine into a retraining round and hot-swapping the refreshed
-//! models every N samples per shard.
+//! Serving always runs a `FleetSession`: `--shards N` (default 1) runs
+//! N independently seeded serving shards (one OS thread each) behind
+//! one merged endpoint; `--batch N` classifies N samples per detector
+//! call (verdicts are identical at any batch size); `--http-workers N`
+//! sizes the endpoint's connection pool; `--retrain-every N` closes the
+//! arms-race loop at any shard count, draining the quarantine into a
+//! retraining round and hot-swapping the refreshed models every N
+//! samples per shard. Monitoring and the flight recorder are always on.
 
 use std::time::{Duration, Instant};
 
@@ -44,7 +45,6 @@ struct Args {
     http_workers: usize,
     retrain_every: usize,
     linger_secs: u64,
-    monitoring: bool,
 }
 
 fn usage(problem: &str) -> ! {
@@ -54,7 +54,7 @@ fn usage(problem: &str) -> ! {
          [--burst START,END,FRACTION] [--window-slots N] [--slot-ms MS] \
          [--kind fast_inference|small_footprint|best_detection] \
          [--shards N] [--batch N] [--http-workers N] \
-         [--retrain-every N] [--linger-secs S] [--no-monitoring]"
+         [--retrain-every N] [--linger-secs S]"
     );
     std::process::exit(2);
 }
@@ -90,7 +90,6 @@ fn parse_args() -> Args {
         http_workers: 4,
         retrain_every: 0,
         linger_secs: 600,
-        monitoring: true,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -119,7 +118,6 @@ fn parse_args() -> Args {
             "--http-workers" => args.http_workers = parse("--http-workers", it.next()),
             "--retrain-every" => args.retrain_every = parse("--retrain-every", it.next()),
             "--linger-secs" => args.linger_secs = parse("--linger-secs", it.next()),
-            "--no-monitoring" => args.monitoring = false,
             "--help" | "-h" => usage("help requested"),
             other => usage(&format!("unknown flag {other:?}")),
         }
@@ -132,7 +130,6 @@ fn main() {
     let mut cfg = ServingConfig::quick(args.seed);
     cfg.samples = args.samples;
     cfg.kind = args.kind;
-    cfg.monitoring = args.monitoring;
     if let Some(f) = args.adv_fraction {
         cfg.adv_fraction = f;
     }

@@ -568,7 +568,6 @@ fn config_to_json(cfg: &ServingConfig, shards: usize) -> Json {
         ("window_slot_ns".to_owned(), Json::UInt(cfg.window.slot_ns)),
         ("evaluate_every".to_owned(), Json::UInt(cfg.evaluate_every as u64)),
         ("integrity_every".to_owned(), Json::UInt(cfg.integrity_every as u64)),
-        ("monitoring".to_owned(), Json::Bool(cfg.monitoring)),
         ("calibration_samples".to_owned(), Json::UInt(cfg.calibration_samples as u64)),
         ("stream_seed".to_owned(), Json::UInt(cfg.stream_seed)),
         ("batch".to_owned(), Json::UInt(cfg.batch as u64)),
@@ -580,8 +579,9 @@ fn config_to_json(cfg: &ServingConfig, shards: usize) -> Json {
 }
 
 /// Inverse of [`config_to_json`]. Keys it does not read are ignored —
-/// among them `arena`, which bundles captured while the serving config
-/// still had an allocating-path switch carry.
+/// among them `arena` and `monitoring`, which bundles captured while the
+/// serving config still had those switches carry. The result must pass
+/// the same [`ServingConfig::check`] session assembly runs.
 fn config_from_json(j: &Json) -> Result<(ServingConfig, usize), JsonError> {
     let base_seed: u64 = field(j, "base_seed")?;
     let mut cfg = ServingConfig::quick(base_seed);
@@ -607,13 +607,13 @@ fn config_from_json(j: &Json) -> Result<(ServingConfig, usize), JsonError> {
     cfg.window = hmd_obs::WindowConfig::new(slots, slot_ns);
     cfg.evaluate_every = field(j, "evaluate_every")?;
     cfg.integrity_every = field(j, "integrity_every")?;
-    cfg.monitoring = field(j, "monitoring")?;
     cfg.calibration_samples = field(j, "calibration_samples")?;
     cfg.stream_seed = field(j, "stream_seed")?;
     cfg.batch = field(j, "batch")?;
     cfg.replay = field(j, "replay")?;
     cfg.retrain_every = field(j, "retrain_every")?;
     cfg.recorder = field(j, "recorder")?;
+    cfg.check().map_err(|e| JsonError::new(e.to_string()))?;
     let shards: usize = field(j, "shards")?;
     Ok((cfg, shards))
 }

@@ -3,26 +3,28 @@
 //! [`AdaptiveDetector`](hmd_core::AdaptiveDetector) while the `hmd-obs`
 //! subsystem watches.
 //!
-//! One [`ServingSession`] owns one shard of the loop:
+//! One [`ServingSession`] is one steppable shard of the loop:
 //!
 //! * traffic — a seeded [`WindowStream`] of benign/malware windows, plus
 //!   adversarial samples replayed from the LowProFool pool at a
 //!   configurable (optionally bursting) rate;
 //! * detection — feature-select + scale into a reusable scratch row,
-//!   classify (one row at a time, or a whole batch through a single
-//!   blocked matmul via [`ServingSession::step_batch`]), time the
-//!   inference;
+//!   classify up to [`ServingConfig::batch`] windows per detector call
+//!   ([`ServingSession::step_batch`]), time the inference;
 //! * monitoring — record into the sliding-window [`ServingMonitor`],
 //!   periodically evaluate the [`AlertEngine`] and run the integrity
 //!   monitor over the windowed confusion, escalating unstable
 //!   assessments into windowed drift events.
 //!
-//! [`FleetSession`] scales that loop across cores: N independently
-//! seeded shards share one trained [`ServingArtifacts`] (and its
-//! quarantine ring) and run on one OS thread each, merged behind a
-//! single [`HttpServer`] answering `/metrics`, `/healthz`,
-//! `/snapshot.json`, `/history.json`, `/traces.json`, `/dashboard` and
-//! `/quit` from a worker pool with keep-alive.
+//! [`FleetSession`] is the only serving owner: it builds 1..N
+//! independently seeded shards around one trained [`ServingArtifacts`]
+//! (and its quarantine ring), runs them on one OS thread each, owns the
+//! model-lifecycle [`ModelHub`] and its retrainer thread, and serves
+//! the merged shards behind a single [`HttpServer`] answering
+//! `/metrics`, `/healthz`, `/snapshot.json`, `/history.json`,
+//! `/traces.json`, `/dashboard`, `/incidents` and `/quit` from a worker
+//! pool with keep-alive. A one-shard fleet replays a standalone
+//! session byte for byte; a standalone session never retrains.
 //!
 //! # Model lifecycle
 //!
@@ -47,10 +49,11 @@
 //!
 //! # Determinism
 //!
-//! Monitoring observes and never feeds back: the verdict stream (pinned
-//! by [`ServingOutcome::digest`]) is byte-identical with monitoring on
-//! or off, traced or untraced, at any batch size and thread count —
-//! `tests/determinism.rs` asserts it. Batching preserves verdicts
+//! Monitoring observes and never feeds back: every verdict (pinned by
+//! [`ServingOutcome::digest`]) is a pure function of the row and the
+//! model generation, traced or untraced, at any batch size and thread
+//! count — `tests/determinism.rs` checks each served verdict against
+//! the reference path. Batching preserves verdicts
 //! bit-for-bit because the blocked matmul's per-element accumulation
 //! order is row-count-invariant.
 //!
@@ -90,7 +93,7 @@ use hmd_obs::{
     MetricsHistory, MonitorSnapshot, Response, SampleRecord, ServingMonitor, SloKind, SloRule,
     TierSnapshot, WindowConfig, DASHBOARD_HTML,
 };
-use hmd_tabular::Dataset;
+use hmd_tabular::{Dataset, StandardScaler};
 use hmd_rl::ConstraintKind;
 use hmd_sim::{StreamConfig, WindowStream};
 use hmd_telemetry::clock;
@@ -142,9 +145,6 @@ pub struct ServingConfig {
     /// Run the integrity monitor over the windowed confusion every this
     /// many samples.
     pub integrity_every: usize,
-    /// Record into the monitor at all. Exists so the determinism suite
-    /// can prove monitoring never perturbs detection.
-    pub monitoring: bool,
     /// Clean windows classified before serving starts to re-record the
     /// integrity baseline on *deployment* traffic (the paper's
     /// scenario (a): baseline on legitimate data). The offline test
@@ -171,7 +171,9 @@ pub struct ServingConfig {
     /// the training database, refits the zoo and hot-swaps the
     /// refreshed artifacts as the next model generation (see the module
     /// docs). The swap schedule is a pure function of the seed. Zero
-    /// (the default) serves generation 0 forever.
+    /// (the default) serves generation 0 forever. Only a
+    /// [`FleetSession`] retrains; a standalone [`ServingSession`]
+    /// rejects a nonzero value.
     pub retrain_every: usize,
     /// The seed [`quick`](Self::quick) was built from — recorded into
     /// incident bundles so forensic replay can rebuild the identical
@@ -182,9 +184,8 @@ pub struct ServingConfig {
     /// generation, latency) in preallocated buffers and snapshots them
     /// into an [`IncidentBundle`] on every SLO alert fire edge. The
     /// ring holds no per-model probabilities, and recording copies the
-    /// detector's own critic value: no inference, no allocation. Zero
-    /// disables the recorder (and incident capture) and changes
-    /// nothing else.
+    /// detector's own critic value: no inference, no allocation. At
+    /// least 1; session assembly rejects zero.
     pub recorder: usize,
     /// Retain every published artifacts generation on the hub so
     /// [`ModelHub::artifacts_at`] can pin past generations after the
@@ -227,7 +228,6 @@ impl ServingConfig {
             rules: default_rules(),
             evaluate_every: 20,
             integrity_every: 100,
-            monitoring: true,
             calibration_samples: 200,
             stream_seed: seed ^ 0x5452_4146, // "TRAF"
             batch: 1,
@@ -237,6 +237,22 @@ impl ServingConfig {
             recorder: 64,
             retain_generations: false,
         }
+    }
+
+    /// Rejects a configuration no session can serve: an empty flight
+    /// recorder, or a sample budget whose stream clock
+    /// (`samples × tick_ns`) overflows `u64`. Session assembly and
+    /// [`IncidentBundle::parse`] (a bundle is untrusted input) both run
+    /// it.
+    pub(crate) fn check(&self) -> Result<(), CoreError> {
+        if self.recorder == 0 {
+            return Err(CoreError::Invalid("the flight recorder must hold at least one window"));
+        }
+        let clock_end = u64::try_from(self.samples).ok().and_then(|s| s.checked_mul(self.tick_ns));
+        if clock_end.is_none() {
+            return Err(CoreError::Invalid("samples × tick_ns overflows the stream clock"));
+        }
+        Ok(())
     }
 }
 
@@ -447,16 +463,13 @@ pub struct ModelHub {
 }
 
 impl ModelHub {
+    /// The hub of a retraining fleet (`cfg.retrain_every > 0`).
     fn new(
         cfg: &ServingConfig,
         artifacts: &Arc<ServingArtifacts>,
         feature_idx: &[usize],
     ) -> Result<Arc<Self>, CoreError> {
-        let rounds = if cfg.retrain_every == 0 || cfg.samples == 0 {
-            0
-        } else {
-            (cfg.samples - 1) / cfg.retrain_every
-        };
+        let rounds = cfg.samples.saturating_sub(1) / cfg.retrain_every;
         let registry = ModelRegistry::new();
         register_generation(&registry, artifacts, 0)?;
         Ok(Arc::new(Self {
@@ -790,8 +803,8 @@ pub struct ServingOutcome {
 /// Wall-clock timings of one served window, as handed to
 /// `record_verdict`: end-to-end and model-only latency plus the
 /// (batch-amortized) durations of the draw, transform and critic
-/// stages. `critic_ns` is part of `model_latency_ns`; the allocating
-/// path does not split it out and leaves it 0.
+/// stages. `critic_ns` is the part of `model_latency_ns` the inference
+/// arena timed in the critic forward pass.
 #[derive(Clone, Copy, Debug)]
 struct StageTiming {
     latency_ns: u64,
@@ -801,8 +814,9 @@ struct StageTiming {
     critic_ns: u64,
 }
 
-/// A streaming detection session — one shard of the serving loop. See
-/// the module docs.
+/// A streaming detection session — one steppable shard of the serving
+/// loop. It serves no HTTP and never retrains on its own: a
+/// [`FleetSession`] owns both. See the module docs.
 #[derive(Debug)]
 pub struct ServingSession {
     cfg: ServingConfig,
@@ -835,20 +849,16 @@ pub struct ServingSession {
     verdicts: [u64; 3],
     drift_events: u64,
     shared: Arc<Shared>,
-    http: Option<HttpServer>,
-    /// The model-lifecycle hub, when retraining is on (see
+    /// The fleet's model-lifecycle hub, when retraining is on (see
     /// [`ServingConfig::retrain_every`]).
     hub: Option<Arc<ModelHub>>,
     /// The model generation this shard currently serves.
     generation: usize,
-    /// The hub's retrainer thread, owned by whichever session (or
-    /// fleet) created the hub; joined on drop.
-    retrainer: Option<JoinHandle<()>>,
     /// Whether this shard already deregistered from the hub.
     retired: bool,
     /// The always-on flight recorder ring (see
-    /// [`ServingConfig::recorder`]); `None` when disabled.
-    recorder_ring: Option<FlightRecorder>,
+    /// [`ServingConfig::recorder`]).
+    recorder_ring: FlightRecorder,
     /// This shard's index within its fleet (0 for a standalone
     /// session) — stamped into incident bundle ids.
     shard: usize,
@@ -879,55 +889,45 @@ impl ServingSession {
     ///
     /// # Errors
     ///
-    /// Propagates training failures; rejects a stream that does not
-    /// carry every engineered feature.
+    /// Propagates training failures; rejects what
+    /// [`with_artifacts`](Self::with_artifacts) rejects, before training.
     pub fn start(cfg: ServingConfig) -> Result<Self, CoreError> {
         let _span = hmd_telemetry::span("serving.start");
+        check_standalone(&cfg)?;
         let artifacts = Arc::new(Framework::new(cfg.framework.clone()).prepare_serving(cfg.kind)?);
         Self::with_artifacts(cfg, artifacts)
     }
 
-    /// Assembles a session around already-trained artifacts — the cheap
-    /// path fleet shards and benchmarks use to share one training run.
+    /// Assembles a standalone session around already-trained artifacts
+    /// — the cheap path benchmarks use to share one training run.
     ///
     /// # Errors
     ///
-    /// Rejects a stream that does not carry every engineered feature.
+    /// Rejects a configuration with retraining on (only a
+    /// [`FleetSession`] retrains), one [`ServingConfig`] cannot serve
+    /// (an empty flight recorder, an overflowing stream clock), and a
+    /// stream that does not carry every engineered feature.
     pub fn with_artifacts(
         cfg: ServingConfig,
         artifacts: Arc<ServingArtifacts>,
     ) -> Result<Self, CoreError> {
+        check_standalone(&cfg)?;
         let base_calibration = cfg.calibration_samples;
-        let mut session = Self::assemble(cfg, artifacts, None, 0, 1, base_calibration)?;
-        // a standalone session owns its hub's retrainer thread; fleet
-        // shards are assembled with a shared hub and the fleet owns it
-        if let Some(hub) = &session.hub {
-            session.retrainer = Some(spawn_retrainer(Arc::clone(hub)));
-        }
-        Ok(session)
+        Self::assemble(cfg, artifacts, 0, 1, base_calibration)
     }
 
-    /// Builds the session around `artifacts`, creating a [`ModelHub`]
-    /// when retraining is on and none was handed in (fleet shards share
-    /// the first shard's). Never spawns the retrainer — callers do,
-    /// after every shard has registered.
+    /// Builds shard `shard` of an `n_shards` fleet around `artifacts`,
+    /// calibrating first when the config carries a calibration budget.
+    /// The shard joins no [`ModelHub`]; the fleet hands it one.
     fn assemble(
         mut cfg: ServingConfig,
         artifacts: Arc<ServingArtifacts>,
-        hub: Option<Arc<ModelHub>>,
         shard: usize,
         n_shards: usize,
         base_calibration_samples: usize,
     ) -> Result<Self, CoreError> {
-        let stream = WindowStream::new(StreamConfig {
-            malware_fraction: cfg.malware_fraction,
-            windows_per_app: cfg.framework.corpus.windows_per_app,
-            warmup_windows: cfg.framework.corpus.warmup_windows,
-            machine: cfg.framework.corpus.machine,
-            perf: cfg.framework.corpus.perf.clone(),
-            isolation: cfg.framework.corpus.isolation,
-            seed: cfg.stream_seed,
-        });
+        cfg.check()?;
+        let stream = traffic_stream(&cfg, cfg.stream_seed);
         let stream_names = stream.feature_names();
         let feature_idx: Vec<usize> = artifacts
             .bundle
@@ -948,18 +948,6 @@ impl ServingSession {
         } else {
             None
         };
-        // hub creation happens after calibration so the hub's initial
-        // rule set is the calibration-adapted one
-        let hub = match hub {
-            Some(h) => Some(h),
-            None if cfg.retrain_every > 0 => {
-                Some(ModelHub::new(&cfg, &artifacts, &feature_idx)?)
-            }
-            None => None,
-        };
-        if let Some(h) = &hub {
-            h.register_shard();
-        }
         let shared = Arc::new(Shared {
             monitor: ServingMonitor::with_shard(cfg.window, shard),
             engine: Mutex::new(AlertEngine::new(cfg.rules.clone())),
@@ -975,8 +963,7 @@ impl ServingSession {
         });
         let rng = StdRng::seed_from_u64(cfg.stream_seed ^ 0x414456); // "ADV"
         let arena = artifacts.detector.warmup(width, cfg.batch.max(1));
-        let recorder_ring = (cfg.recorder > 0)
-            .then(|| FlightRecorder::warmup(&artifacts.detector, width, cfg.recorder));
+        let recorder_ring = FlightRecorder::warmup(&artifacts.detector, width, cfg.recorder);
         let mut session = Self {
             batch_rows: Vec::with_capacity(cfg.batch.max(1) * width),
             batch_truth: Vec::with_capacity(cfg.batch.max(1)),
@@ -997,10 +984,8 @@ impl ServingSession {
             verdicts: [0; 3],
             drift_events: 0,
             shared,
-            http: None,
-            hub,
+            hub: None,
             generation: 0,
-            retrainer: None,
             retired: false,
             recorder_ring,
             shard,
@@ -1019,29 +1004,6 @@ impl ServingSession {
         Ok(session)
     }
 
-    /// Starts the HTTP endpoint (use port 0 for an ephemeral port) and
-    /// returns the bound address. Routes: `/metrics`, `/healthz`,
-    /// `/snapshot.json`, `/history.json`, `/traces.json`, `/dashboard`,
-    /// `/incidents`, `/quit`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn serve_http(&mut self, addr: &str) -> std::io::Result<std::net::SocketAddr> {
-        let state = EndpointState {
-            shards: vec![Arc::clone(&self.shared)],
-            artifacts: Arc::clone(&self.artifacts),
-            hub: self.hub.clone(),
-        };
-        let server = HttpServer::start(
-            addr,
-            Arc::new(move |req: &hmd_obs::Request| handle(&state, &req.path)),
-        )?;
-        let bound = server.addr();
-        self.http = Some(server);
-        Ok(bound)
-    }
-
     /// At a retraining boundary (`processed` a positive multiple of the
     /// hub's period, short of the budget), rendezvous with the
     /// retrainer and adopt the published generation: swap the artifacts
@@ -1051,8 +1013,7 @@ impl ServingSession {
     fn sync_generation(&mut self) -> Result<(), CoreError> {
         let Some(hub) = &self.hub else { return Ok(()) };
         let every = hub.retrain_every;
-        if every == 0
-            || self.processed == 0
+        if self.processed == 0
             || self.processed >= self.cfg.samples
             || !self.processed.is_multiple_of(every)
         {
@@ -1097,12 +1058,12 @@ impl ServingSession {
             return Ok(true);
         }
         let w = self.stream.next().expect("stream is endless");
-        for (dst, &src) in self.scratch.iter_mut().zip(&self.feature_idx) {
-            *dst = w.values[src];
-        }
-        let t0 = clock::now_ns();
-        self.artifacts.bundle.scaler.transform_row(&mut self.scratch)?;
-        self.transform_ns += clock::now_ns().saturating_sub(t0);
+        self.transform_ns += engineer_row(
+            &self.artifacts.bundle.scaler,
+            &w.values,
+            &self.feature_idx,
+            &mut self.scratch,
+        )?;
         Ok(w.is_malware())
     }
 
@@ -1121,8 +1082,8 @@ impl ServingSession {
     }
 
     /// The bookkeeping half of one sample: flight-recorder write,
-    /// digest, counters, clock and (when enabled) monitoring, history
-    /// and stage-trace promotion — identical at every batch size.
+    /// digest, counters, clock, monitoring, history and stage-trace
+    /// promotion — identical at every batch size.
     /// `row` is the engineered, scaled input the verdict
     /// was served for and `adv_score` the critic value the detector
     /// decided on; the ring copies both, allocation-free.
@@ -1144,34 +1105,30 @@ impl ServingSession {
         self.processed += 1;
         let now_ns = self.processed as u64 * self.cfg.tick_ns;
         let t_enter = clock::now_ns();
-        if let Some(ring) = &mut self.recorder_ring {
-            let stamp = recorder::WindowStamp {
-                sample,
-                t_ns: now_ns,
-                generation: self.generation as u64,
-                model_latency_ns: timing.model_latency_ns,
-            };
-            let routed = self.artifacts.detector.controller().selected_model();
-            ring.write(row, verdict, adv_score, routed, stamp);
-        }
+        let stamp = recorder::WindowStamp {
+            sample,
+            t_ns: now_ns,
+            generation: self.generation as u64,
+            model_latency_ns: timing.model_latency_ns,
+        };
+        let routed = self.artifacts.detector.controller().selected_model();
+        self.recorder_ring.write(row, verdict, adv_score, routed, stamp);
         self.digest = recorder::digest_step(self.digest, verdict);
         self.verdicts[recorder::verdict_slot(verdict) as usize] += 1;
         self.shared.t_ns.store(now_ns, Ordering::Relaxed);
         let t_bookkept = clock::now_ns();
-        if self.cfg.monitoring {
-            self.observe(now_ns, sample, truth_attack, verdict, timing, adv_score);
-            let t_record = clock::now_ns();
-            // cumulative stage ends — monotone by construction
-            let mut stage_ns = [0_u64; 6];
-            stage_ns[0] = timing.draw_ns;
-            stage_ns[1] = stage_ns[0].saturating_add(timing.transform_ns);
-            stage_ns[2] = stage_ns[1].saturating_add(timing.critic_ns);
-            stage_ns[3] = stage_ns[2]
-                .saturating_add(timing.model_latency_ns.saturating_sub(timing.critic_ns));
-            stage_ns[4] = stage_ns[3].saturating_add(t_bookkept.saturating_sub(t_enter));
-            stage_ns[5] = stage_ns[4].saturating_add(t_record.saturating_sub(t_bookkept));
-            self.promote_trace(sample, now_ns, verdict, stage_ns);
-        }
+        self.observe(now_ns, sample, truth_attack, verdict, timing, adv_score);
+        let t_record = clock::now_ns();
+        // cumulative stage ends — monotone by construction
+        let mut stage_ns = [0_u64; 6];
+        stage_ns[0] = timing.draw_ns;
+        stage_ns[1] = stage_ns[0].saturating_add(timing.transform_ns);
+        stage_ns[2] = stage_ns[1].saturating_add(timing.critic_ns);
+        stage_ns[3] =
+            stage_ns[2].saturating_add(timing.model_latency_ns.saturating_sub(timing.critic_ns));
+        stage_ns[4] = stage_ns[3].saturating_add(t_bookkept.saturating_sub(t_enter));
+        stage_ns[5] = stage_ns[4].saturating_add(t_record.saturating_sub(t_bookkept));
+        self.promote_trace(sample, now_ns, verdict, stage_ns);
     }
 
     /// Tail-samples one window's stage trace: flagged (adversarial)
@@ -1235,13 +1192,10 @@ impl ServingSession {
         self.sync_generation()?;
         let mut n = max.min(remaining);
         if let Some(hub) = &self.hub {
-            if hub.retrain_every > 0 {
-                // never straddle a retraining boundary: every sample of
-                // a batch is classified by one model generation, which
-                // keeps the verdict stream batch-size-invariant under
-                // retraining
-                n = n.min(hub.retrain_every - self.processed % hub.retrain_every);
-            }
+            // never straddle a retraining boundary: every sample of a
+            // batch is classified by one model generation, which keeps
+            // the verdict stream batch-size-invariant under retraining
+            n = n.min(hub.retrain_every - self.processed % hub.retrain_every);
         }
         let width = self.feature_idx.len();
         let t_start = clock::now_ns();
@@ -1360,15 +1314,14 @@ impl ServingSession {
 
     /// Snapshots the flight recorder ring plus monitor/alert/generation
     /// state into an [`IncidentBundle`] and stores it on the shard.
-    /// Runs only on alert fire edges; a disabled recorder
-    /// ([`ServingConfig::recorder`]` == 0`) captures nothing.
+    /// Runs only on alert fire edges.
     fn capture_incident(
         &mut self,
         now_ns: u64,
         snap: &MonitorSnapshot,
         edges: &[AlertTransition],
     ) {
-        let Some(ring) = &self.recorder_ring else { return };
+        let ring = &self.recorder_ring;
         let triggers: Vec<IncidentTrigger> =
             recorder::triggers_from_edges(edges, &self.cfg.rules);
         let alerts_firing: Vec<String> =
@@ -1470,10 +1423,10 @@ impl ServingSession {
         self.shared.incidents_total.load(Ordering::Relaxed)
     }
 
-    /// The flight recorder ring, when enabled.
+    /// The flight recorder ring.
     #[must_use]
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder_ring.as_ref()
+    pub fn flight_recorder(&self) -> &FlightRecorder {
+        &self.recorder_ring
     }
 
     /// This shard's multi-resolution metrics history tiers.
@@ -1492,12 +1445,6 @@ impl ServingSession {
     #[must_use]
     pub fn quit_requested(&self) -> bool {
         self.shared.quit.load(Ordering::SeqCst)
-    }
-
-    /// The bound HTTP address, when serving.
-    #[must_use]
-    pub fn http_addr(&self) -> Option<std::net::SocketAddr> {
-        self.http.as_ref().map(HttpServer::addr)
     }
 
     /// The trained artifacts (detector, monitor, attack pool).
@@ -1521,12 +1468,6 @@ impl ServingSession {
         self.generation as u64
     }
 
-    /// The model-lifecycle hub, when retraining is on.
-    #[must_use]
-    pub fn hub(&self) -> Option<&Arc<ModelHub>> {
-        self.hub.as_ref()
-    }
-
     /// Deregisters from the hub (idempotent), so the retrainer never
     /// waits on a shard that stopped stepping.
     fn retire(&mut self) {
@@ -1538,43 +1479,24 @@ impl ServingSession {
             hub.retire_shard();
         }
     }
-
-    /// Stops the HTTP endpoint (if running). Called on drop as well.
-    pub fn finish(&mut self) {
-        if let Some(mut server) = self.http.take() {
-            server.shutdown();
-        }
-    }
 }
 
-impl Drop for ServingSession {
-    fn drop(&mut self) {
-        self.finish();
-        self.retire();
-        // joining is safe: with this shard retired, the retrainer
-        // cannot be waiting on it
-        if let Some(t) = self.retrainer.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// A fleet of per-core serving shards behind one HTTP endpoint.
+/// The serving owner: 1..N per-core shards behind one HTTP endpoint,
+/// plus the model hub and its retrainer when retraining is on.
 ///
-/// Each shard is a full [`ServingSession`] with its own decorrelated
+/// Each shard is a [`ServingSession`] with its own decorrelated
 /// traffic seed ([`shard_stream_seed`]; shard 0 keeps the base seed, so
-/// a one-shard fleet is byte-identical to a single session), its own
-/// monitor windows and alert engine, all sharing one trained
+/// a one-shard fleet is byte-identical to a standalone session), its
+/// own monitor windows and alert engine, all sharing one trained
 /// [`ServingArtifacts`] — including the quarantine ring. `/metrics`
-/// merges the shards into the same aggregate series a single session
-/// exposes plus label-separated `hmd_serving_shard_*` series, and
-/// `/quit` stops every shard.
+/// merges the shards into aggregate series plus label-separated
+/// `hmd_serving_shard_*` series, and `/quit` stops every shard.
 #[derive(Debug)]
 pub struct FleetSession {
     shards: Vec<ServingSession>,
     artifacts: Arc<ServingArtifacts>,
-    /// The fleet-wide model hub, when retraining is on (created by
-    /// shard 0, shared by every shard).
+    /// The fleet-wide model hub, when retraining is on (created once
+    /// shard 0 calibrated, shared by every shard).
     hub: Option<Arc<ModelHub>>,
     /// The fleet's retrainer thread; joined on drop after every shard
     /// retired.
@@ -1589,9 +1511,11 @@ impl FleetSession {
     ///
     /// # Errors
     ///
-    /// Propagates training failures.
+    /// Propagates training failures; rejects what
+    /// [`with_artifacts`](Self::with_artifacts) rejects, before training.
     pub fn start(cfg: &ServingConfig, n_shards: usize) -> Result<Self, CoreError> {
         let _span = hmd_telemetry::span("serving.fleet_start");
+        cfg.check()?;
         let artifacts = Arc::new(Framework::new(cfg.framework.clone()).prepare_serving(cfg.kind)?);
         Self::with_artifacts(cfg, n_shards, artifacts)
     }
@@ -1599,17 +1523,21 @@ impl FleetSession {
     /// Builds the fleet around already-trained artifacts. Shard 0
     /// calibrates the integrity baseline (once per fleet — the baseline
     /// lives on the shared artifacts); later shards skip calibration.
+    /// With retraining on, the [`ModelHub`] is created once shard 0
+    /// calibrated, so its initial rule set is the calibration-adapted
+    /// one, and its retrainer thread starts once every shard joined.
     ///
     /// # Errors
     ///
-    /// Rejects a stream that does not carry every engineered feature.
+    /// Rejects a configuration [`ServingConfig`] cannot serve (an empty
+    /// flight recorder, an overflowing stream clock) and a stream that
+    /// does not carry every engineered feature.
     pub fn with_artifacts(
         cfg: &ServingConfig,
         n_shards: usize,
         artifacts: Arc<ServingArtifacts>,
     ) -> Result<Self, CoreError> {
         let mut shards: Vec<ServingSession> = Vec::with_capacity(n_shards.max(1));
-        let mut hub: Option<Arc<ModelHub>> = None;
         for i in 0..n_shards.max(1) {
             let mut shard_cfg = cfg.clone();
             shard_cfg.stream_seed = shard_stream_seed(cfg.stream_seed, i);
@@ -1619,21 +1547,24 @@ impl FleetSession {
                 // calibration derived — one fleet, one contract
                 shard_cfg.rules = shards[0].cfg.rules.clone();
             }
-            let shard = ServingSession::assemble(
+            shards.push(ServingSession::assemble(
                 shard_cfg,
                 Arc::clone(&artifacts),
-                hub.clone(),
                 i,
                 n_shards.max(1),
                 cfg.calibration_samples,
-            )?;
-            if hub.is_none() {
-                // shard 0 created the fleet's hub (when retraining is
-                // on); every later shard registers with the same one
-                hub = shard.hub.clone();
-            }
-            shards.push(shard);
+            )?);
         }
+        let hub = if cfg.retrain_every > 0 {
+            let hub = ModelHub::new(&shards[0].cfg, &artifacts, &shards[0].feature_idx)?;
+            for shard in &mut shards {
+                hub.register_shard();
+                shard.hub = Some(Arc::clone(&hub));
+            }
+            Some(hub)
+        } else {
+            None
+        };
         // one retrainer per fleet, spawned only after every shard
         // registered — a hub with zero active shards exits immediately
         let retrainer = hub.as_ref().map(|h| spawn_retrainer(Arc::clone(h)));
@@ -1703,6 +1634,16 @@ impl FleetSession {
     #[must_use]
     pub fn shards(&self) -> &[ServingSession] {
         &self.shards
+    }
+
+    /// The per-shard sessions, for stepping them on the caller's thread
+    /// instead of through [`run`](Self::run). With retraining on, a
+    /// shard reaching a retraining boundary blocks until every shard
+    /// has reached it, so the caller must step every shard to each
+    /// boundary (one thread stepping shards in turn deadlocks at the
+    /// first boundary unless the fleet has one shard).
+    pub fn shards_mut(&mut self) -> &mut [ServingSession] {
+        &mut self.shards
     }
 
     /// The per-shard outcomes so far, in shard order.
@@ -1775,11 +1716,55 @@ impl Drop for FleetSession {
         self.finish();
         // retire every shard before joining the retrainer: it exits
         // once no active shard remains
-        self.shards.clear();
+        self.shards.iter_mut().for_each(ServingSession::retire);
         if let Some(t) = self.retrainer.take() {
             let _ = t.join();
         }
     }
+}
+
+/// Rejects what a standalone [`ServingSession`] cannot serve: retraining
+/// (a [`FleetSession`] owns the hub and its retrainer) plus everything
+/// [`ServingConfig::check`] rejects.
+fn check_standalone(cfg: &ServingConfig) -> Result<(), CoreError> {
+    if cfg.retrain_every > 0 {
+        return Err(CoreError::Invalid(
+            "a standalone session never retrains: serve retrain_every > 0 through a FleetSession",
+        ));
+    }
+    cfg.check()
+}
+
+/// The live traffic generator of `cfg` — serving and calibration
+/// streams differ only in `seed`.
+fn traffic_stream(cfg: &ServingConfig, seed: u64) -> WindowStream {
+    let corpus = &cfg.framework.corpus;
+    WindowStream::new(StreamConfig {
+        malware_fraction: cfg.malware_fraction,
+        windows_per_app: corpus.windows_per_app,
+        warmup_windows: corpus.warmup_windows,
+        machine: corpus.machine,
+        perf: corpus.perf.clone(),
+        isolation: corpus.isolation,
+        seed,
+    })
+}
+
+/// Feature-selects the engineered columns of one raw stream window into
+/// `row` and scales them in place. Returns the wall-clock nanoseconds
+/// the scaler transform took.
+fn engineer_row(
+    scaler: &StandardScaler,
+    values: &[f64],
+    feature_idx: &[usize],
+    row: &mut [f64],
+) -> Result<u64, CoreError> {
+    for (dst, &src) in row.iter_mut().zip(feature_idx) {
+        *dst = values[src];
+    }
+    let t0 = clock::now_ns();
+    scaler.transform_row(row)?;
+    Ok(clock::now_ns().saturating_sub(t0))
 }
 
 /// Re-records the integrity baseline from the detector's confusion on a
@@ -1795,15 +1780,7 @@ fn calibrate(
     feature_idx: &[usize],
 ) -> Result<CalibrationReport, CoreError> {
     let _span = hmd_telemetry::span("serving.calibrate");
-    let mut stream = WindowStream::new(StreamConfig {
-        malware_fraction: cfg.malware_fraction,
-        windows_per_app: cfg.framework.corpus.windows_per_app,
-        warmup_windows: cfg.framework.corpus.warmup_windows,
-        machine: cfg.framework.corpus.machine,
-        perf: cfg.framework.corpus.perf.clone(),
-        isolation: cfg.framework.corpus.isolation,
-        seed: cfg.stream_seed ^ 0x43414C, // "CAL"
-    });
+    let mut stream = traffic_stream(cfg, cfg.stream_seed ^ 0x43414C); // "CAL"
     let width = feature_idx.len();
     let mut arena = artifacts.detector.warmup(width, PROBE_BATCH);
     let mut rows = Vec::with_capacity(PROBE_BATCH * width);
@@ -1814,13 +1791,11 @@ fn calibrate(
     while left > 0 {
         let n = left.min(PROBE_BATCH);
         left -= n;
-        rows.clear();
+        rows.resize(n * width, 0.0);
         truth.clear();
-        for _ in 0..n {
+        for row in rows.chunks_exact_mut(width) {
             let w = stream.next().expect("stream is endless");
-            let start = rows.len();
-            rows.extend(feature_idx.iter().map(|&src| w.values[src]));
-            artifacts.bundle.scaler.transform_row(&mut rows[start..])?;
+            engineer_row(&artifacts.bundle.scaler, &w.values, feature_idx, row)?;
             truth.push(w.is_malware());
         }
         artifacts.detector.classify_batch_into(&rows, width, &mut arena)?;
@@ -1895,8 +1870,7 @@ impl EndpointState {
     }
 }
 
-/// HTTP dispatch for the serving endpoints, shared between single
-/// sessions (one shard) and fleets (many).
+/// HTTP dispatch for a fleet's serving endpoints.
 fn handle(state: &EndpointState, path: &str) -> Response {
     let shards = &state.shards;
     match path {

@@ -20,20 +20,16 @@ use hmd_util::par;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
-/// Builds a replay-ring session around shared artifacts: uniform
-/// traffic (no burst), `batch` samples per detector call.
-fn replay_session(
-    base: &hmd::ServingConfig,
-    artifacts: &std::sync::Arc<hmd::core::ServingArtifacts>,
-    batch: usize,
-) -> hmd::ServingSession {
+/// A replay-ring configuration over `base`: uniform traffic (no
+/// burst), `batch` samples per detector call.
+fn replay_config(base: &hmd::ServingConfig, batch: usize) -> hmd::ServingConfig {
     let mut cfg = base.clone();
     cfg.samples = 900;
     cfg.replay = 128;
     cfg.burst = None;
     cfg.batch = batch;
     cfg.calibration_samples = 0; // baseline calibrated by the training session
-    hmd::ServingSession::with_artifacts(cfg, artifacts.clone()).expect("assemble session")
+    cfg
 }
 
 #[test]
@@ -54,7 +50,9 @@ fn serving_steady_state_allocates_nothing() {
 
     // batch 1 and batch 8 measured separately
     for batch in [1usize, 8] {
-        let mut session = replay_session(&base, &artifacts, batch);
+        let mut session =
+            hmd::ServingSession::with_artifacts(replay_config(&base, batch), artifacts.clone())
+                .expect("assemble session");
         // warm up: fill the sliding windows twice over and let the
         // alert engine cross its initial fire/resolve edges
         while session.outcome().processed < 500 {
@@ -70,7 +68,7 @@ fn serving_steady_state_allocates_nothing() {
         assert!(windows >= 300, "measured too few windows: {windows}");
         // the flight recorder was live (and full) for every measured
         // window: recording is part of the zero-allocation contract
-        let ring = session.flight_recorder().expect("recorder defaults on");
+        let ring = session.flight_recorder();
         assert_eq!(ring.len(), ring.capacity(), "ring must be full after warmup");
         // the continuous-observability surface was live the whole time:
         // history points flushed every FINE_EVERY windows and the trace
@@ -95,9 +93,11 @@ fn serving_steady_state_allocates_nothing() {
     // re-hash — all while the shard is parked at the boundary), but the
     // steady state *between* rounds must stay at zero allocations per
     // window even though the shard now serves hot-swapped generation-1
-    // artifacts through a re-warmed arena. This phase shares the test
-    // fn because the counting allocator is process-global: a sibling
-    // test's allocations would bleed into the deltas.
+    // artifacts through a re-warmed arena. Only a fleet retrains, so
+    // this phase steps the shard of a one-shard fleet on this thread.
+    // It shares the test fn because the counting allocator is
+    // process-global: a sibling test's allocations would bleed into
+    // the deltas.
     {
         use hmd::obs::{Severity, SloKind, SloRule};
         let mut cfg = base.clone();
@@ -131,7 +131,10 @@ fn serving_steady_state_allocates_nothing() {
             },
         ];
         cfg.retrain_every = 400; // boundaries at 400 and 800 of 900
-        let mut session = replay_session(&cfg, &artifacts, 8);
+        let mut fleet =
+            hmd::FleetSession::with_artifacts(&replay_config(&cfg, 8), 1, artifacts.clone())
+                .expect("assemble fleet");
+        let session = &mut fleet.shards_mut()[0];
         // warm past the first boundary: the round runs (and allocates)
         // while the shard waits, the shard swaps + re-warms its arena,
         // then the windows refill on generation-1 verdicts

@@ -91,6 +91,10 @@ fn a_bad_window_shape_is_an_error() {
         ("\"window_slots\":8,", "\"window_slots\":1,"),
         ("\"window_slots\":8,", "\"window_slots\":0,"),
         ("\"window_slot_ns\":250000000,", "\"window_slot_ns\":0,"),
+        // no session serves an empty flight recorder
+        ("\"recorder\":64,", "\"recorder\":0,"),
+        // 600 samples × u64::MAX ns overflows the stream clock
+        ("\"tick_ns\":10000000,", "\"tick_ns\":18446744073709551615,"),
     ] {
         assert!(V3.contains(from), "fixture lacks {from}");
         let text = V3.replace(from, to);

@@ -151,29 +151,6 @@ fn attack_generation_is_deterministic() {
     assert_eq!(a.outcomes, b.outcomes);
 }
 
-/// Serving monitoring is strictly observational: the verdict stream
-/// (digest + counts) is identical with the monitor recording or fully
-/// disabled. BestDetection routing never reads measured latency, so the
-/// whole session is a pure function of the seed.
-#[test]
-fn serving_monitoring_does_not_change_verdicts() {
-    let run = |monitoring: bool| {
-        let mut cfg = hmd::ServingConfig::quick(11);
-        cfg.samples = 250; // lull + burst onset is enough to pin it
-        cfg.monitoring = monitoring;
-        let mut session = hmd::ServingSession::start(cfg).expect("train");
-        while session.step().expect("step") {}
-        session.outcome()
-    };
-    let on = run(true);
-    let off = run(false);
-    assert_eq!(on.digest, off.digest, "monitoring perturbed the verdict stream");
-    assert_eq!(on.verdicts, off.verdicts);
-    assert_eq!(on.processed, off.processed);
-    // with recording disabled nothing ever evaluates, so no transitions
-    assert_eq!(off.alert_transitions, 0);
-}
-
 /// Asserts every window a session's flight recorder holds matches the
 /// detector's reference path on its row: the served verdict, and the
 /// critic value the serving path decided on, bit for bit. `detector_at`
@@ -203,7 +180,8 @@ fn assert_served_windows_match_reference<'a>(
 /// the counts; the flight recorder, sized to hold every window, shows
 /// each served verdict and critic value equals what the row-at-a-time
 /// reference path (`classify_explain`, sharing only the matmul kernel)
-/// computes.
+/// computes. That check also pins that monitoring never feeds back:
+/// every verdict is a pure function of its row and model generation.
 #[test]
 fn serving_batch_size_and_thread_count_are_verdict_invariant_and_match_the_reference() {
     // train once, share the artifacts across every configuration
@@ -224,7 +202,7 @@ fn serving_batch_size_and_thread_count_are_verdict_invariant_and_match_the_refer
         let mut session =
             hmd::ServingSession::with_artifacts(cfg, artifacts.clone()).expect("assemble");
         let outcome = session.run_to_completion().expect("run");
-        let windows = session.flight_recorder().expect("recorder on").snapshot_windows();
+        let windows = session.flight_recorder().snapshot_windows();
         (outcome, windows)
     };
 
@@ -264,6 +242,8 @@ fn serving_batch_size_and_thread_count_are_verdict_invariant_and_match_the_refer
 /// canonical order, and the controller is cloned (never re-profiled),
 /// so nothing wall-clock leaks into the digest. Every served window
 /// also matches the reference path of the generation that served it.
+/// Retraining runs on a one-shard fleet, the only serving owner that
+/// retrains.
 #[test]
 fn serving_retraining_schedule_and_digests_are_seed_deterministic() {
     let base = {
@@ -282,14 +262,14 @@ fn serving_retraining_schedule_and_digests_are_seed_deterministic() {
         cfg.calibration_samples = 0;
         cfg.recorder = cfg.samples;
         cfg.retain_generations = true;
-        let mut session =
-            hmd::ServingSession::with_artifacts(cfg, artifacts.clone()).expect("assemble");
-        let outcome = session.run_to_completion().expect("run");
-        let hub = session.hub().expect("retraining session has a hub");
+        let mut fleet =
+            hmd::FleetSession::with_artifacts(&cfg, 1, artifacts.clone()).expect("assemble");
+        let outcome = fleet.run().expect("run").remove(0);
+        let hub = fleet.hub().expect("retraining fleet has a hub");
         let served: Vec<_> = (0..=hub.generation())
             .map(|g| hub.artifacts_at(g).expect("retained generation"))
             .collect();
-        let windows = session.flight_recorder().expect("recorder on").snapshot_windows();
+        let windows = fleet.shards()[0].flight_recorder().snapshot_windows();
         assert_eq!(windows.len(), 240, "the recorder holds every window");
         assert_served_windows_match_reference(
             &windows,
@@ -340,10 +320,12 @@ fn serving_retraining_schedule_and_digests_are_seed_deterministic() {
 fn fleet_retraining_rerun_is_byte_identical() {
     let mut cfg = hmd::ServingConfig::quick(29);
     cfg.samples = 160;
-    cfg.retrain_every = 60; // boundaries at 60 (mid-burst) and 120
+    // train (and calibrate) through a standalone session, which never
+    // retrains; the fleets below carry the retraining schedule
     let trainer = hmd::ServingSession::start(cfg.clone()).expect("train");
     let artifacts = trainer.artifacts_handle();
     drop(trainer);
+    cfg.retrain_every = 60; // boundaries at 60 (mid-burst) and 120
 
     let run = || {
         let mut fleet = hmd::FleetSession::with_artifacts(&cfg, 3, artifacts.clone()).expect("fleet");
@@ -547,7 +529,7 @@ fn shard_history_and_traces_are_byte_identical_across_batch_threads_and_shards()
 }
 
 /// The history's critic margin is the detector's own critic value, not
-/// a by-product of the flight recorder: with the recorder off the
+/// a by-product of the flight recorder: with a one-window ring the
 /// history serializes to the same bytes as with the default 64-deep
 /// ring, at batch 1 and 7, and `critic_sum` is non-zero in every point.
 #[test]
@@ -566,7 +548,7 @@ fn history_critic_sum_does_not_depend_on_the_recorder() {
         let mut session =
             hmd::ServingSession::with_artifacts(cfg, artifacts.clone()).expect("assemble");
         session.run_to_completion().expect("run");
-        assert_eq!(session.flight_recorder().is_some(), recorder > 0);
+        assert_eq!(session.flight_recorder().capacity(), recorder);
         scrub_incident(&hmd::obs::history_json(&[session.history_snapshot()]).to_string())
     };
 
@@ -583,7 +565,7 @@ fn history_critic_sum_does_not_depend_on_the_recorder() {
         let critic_sum = point.get("critic_sum").and_then(Json::as_f64).expect("critic_sum");
         assert!(critic_sum != 0.0, "critic_sum is zero in {point:?}");
     }
-    for (recorder, batch) in [(0, 1), (64, 7), (0, 7)] {
+    for (recorder, batch) in [(1, 1), (64, 7), (1, 7)] {
         assert_eq!(
             run(recorder, batch),
             reference,

@@ -8,8 +8,10 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use hmd::core::{CoreError, Framework};
 use hmd::obs::validate_exposition;
 use hmd::{FleetSession, ServingConfig, ServingSession};
 use hmd_util::json::Json;
@@ -31,13 +33,16 @@ fn get(addr: &SocketAddr, path: &str) -> (u16, String) {
     (status, body)
 }
 
+/// The SLO choreography on a one-shard fleet's endpoint, its shard
+/// stepped window by window on this thread.
 #[test]
 fn serving_breach_and_recovery_end_to_end() {
     let cfg = ServingConfig::quick(7);
     let budget = cfg.samples;
     let burst = cfg.burst.expect("quick config bursts");
-    let mut session = ServingSession::start(cfg).expect("training succeeds");
-    let addr = session.serve_http("127.0.0.1:0").expect("bind ephemeral port");
+    let mut fleet = FleetSession::start(&cfg, 1).expect("training succeeds");
+    let addr = fleet.serve_http("127.0.0.1:0", 4).expect("bind ephemeral port");
+    let session = &mut fleet.shards_mut()[0];
 
     // Deep into the burst the flag-rate window is saturated with
     // injected adversarial rows.
@@ -144,7 +149,7 @@ fn serving_breach_and_recovery_end_to_end() {
     let (status, _) = get(&addr, "/quit");
     assert_eq!(status, 200);
     assert!(session.quit_requested(), "/quit must reach the session");
-    session.finish();
+    fleet.finish();
 }
 
 /// Sends one GET on an already-open keep-alive connection and reads
@@ -418,7 +423,7 @@ fn latency_exemplars_resolve_to_flight_recorder_windows() {
     while session.step().expect("step") {}
 
     let snap = session.snapshot();
-    let ring = session.flight_recorder().expect("recorder is on");
+    let ring = session.flight_recorder();
     let windows = ring.snapshot_windows();
     assert_eq!(windows.len(), 250, "the ring must retain the whole run");
 
@@ -463,7 +468,7 @@ fn flight_recorder_ring_wraps_and_keeps_the_trailing_windows() {
     while session.step().expect("step") {}
 
     assert!(session.incidents_total() >= 1, "the seeded burst must trip an alert");
-    let ring = session.flight_recorder().expect("recorder is on");
+    let ring = session.flight_recorder();
     assert_eq!(ring.capacity(), 16);
     assert_eq!(ring.len(), 16, "a 250-sample stream must have filled the ring");
 
@@ -492,4 +497,44 @@ fn flight_recorder_ring_wraps_and_keeps_the_trailing_windows() {
     if let Some(early) = bundles.iter().find(|b| b.sample_index <= 16) {
         assert_eq!(early.windows.len(), early.sample_index as usize);
     }
+}
+
+/// A standalone session is one shard: only a fleet owns the model hub
+/// and its retrainer, so assembly refuses `retrain_every > 0` instead
+/// of silently never retraining (and `start` refuses it before
+/// training). No session serves an empty flight recorder or a sample
+/// budget whose stream clock overflows `u64`. Each is an `Err`, never a
+/// panic; a one-shard fleet takes the retraining config.
+#[test]
+fn standalone_session_rejects_retraining_and_unservable_configs() {
+    let base = ServingConfig::quick(5);
+    let mut retraining = base.clone();
+    retraining.retrain_every = 100;
+    let mut no_recorder = base.clone();
+    no_recorder.recorder = 0;
+    let mut overflowing = base.clone();
+    overflowing.tick_ns = u64::MAX;
+
+    let err = ServingSession::start(retraining.clone()).expect_err("start must refuse retraining");
+    assert!(matches!(err, CoreError::Invalid(_)), "{err}");
+    let artifacts = Arc::new(
+        Framework::new(base.framework.clone()).prepare_serving(base.kind).expect("training"),
+    );
+    for (what, cfg) in [
+        ("retrain_every > 0", &retraining),
+        ("recorder == 0", &no_recorder),
+        ("an overflowing tick budget", &overflowing),
+    ] {
+        let err = ServingSession::with_artifacts(cfg.clone(), Arc::clone(&artifacts))
+            .expect_err(what);
+        assert!(matches!(err, CoreError::Invalid(_)), "{what}: {err}");
+    }
+    for (what, cfg) in [("recorder == 0", &no_recorder), ("an overflowing tick budget", &overflowing)]
+    {
+        let err = FleetSession::with_artifacts(cfg, 1, Arc::clone(&artifacts)).expect_err(what);
+        assert!(matches!(err, CoreError::Invalid(_)), "fleet, {what}: {err}");
+    }
+    ServingSession::with_artifacts(base, Arc::clone(&artifacts)).expect("the base config serves");
+    let fleet = FleetSession::with_artifacts(&retraining, 1, artifacts).expect("a fleet retrains");
+    assert!(fleet.hub().is_some(), "a retraining fleet owns a hub");
 }
