@@ -1,4 +1,5 @@
-//! Benchmarks for the substrate layers: simulator window throughput,
+//! Benchmarks for the substrate layers: simulator window throughput
+//! (one machine window, and the serving traffic stream),
 //! SHA-256 hashing, tensor/NN primitives, and the parallel substrate
 //! (`hmd_util::par`) before/after pairs — naive vs blocked matmul, and
 //! 1-thread vs all-thread forest fitting, corpus generation, and batch
@@ -18,6 +19,7 @@ use hmd_ml::{Classifier, Knn, RandomForest, RandomForestConfig};
 use hmd_nn::{Dense, Loss, Optimizer, Relu, Sequential, Tensor};
 use hmd_sim::corpus::{build_corpus, CorpusConfig};
 use hmd_sim::machine::{Machine, MachineConfig, RunningWorkload};
+use hmd_sim::stream::{StreamConfig, WindowStream};
 use hmd_sim::workload::{WorkloadClass, WorkloadProfile};
 use hmd_tabular::{Class, Dataset};
 use hmd_util::bench::{Harness, Throughput};
@@ -33,6 +35,31 @@ fn bench_simulator(h: &mut Harness) {
         "simulator/run_window_20k_instructions",
         Throughput::Elements(config.slice_instructions),
         || black_box(machine.run_window(&mut workload, 10.0)),
+    );
+
+    // The live serving traffic generator: the window stream a serving
+    // session draws from, in `ServingConfig::quick`'s shape
+    // (2,000-instruction slices, one warm-up and three recorded windows
+    // per application, a machine flush per application). Each iteration
+    // starts the stream afresh and draws the same 32 applications'
+    // windows, so every iteration (and every commit) times the same
+    // traffic mix.
+    let serving = hmd::ServingConfig::quick(41);
+    let corpus = &serving.framework.corpus;
+    let stream = StreamConfig {
+        malware_fraction: serving.malware_fraction,
+        windows_per_app: corpus.windows_per_app,
+        warmup_windows: corpus.warmup_windows,
+        machine: corpus.machine,
+        perf: corpus.perf.clone(),
+        isolation: corpus.isolation,
+        seed: serving.stream_seed,
+    };
+    let windows = 32 * corpus.windows_per_app;
+    h.bench_with_throughput(
+        "simulator/window_stream_serving",
+        Throughput::Elements(windows as u64),
+        || black_box(WindowStream::new(stream.clone()).take(windows).count()),
     );
 }
 

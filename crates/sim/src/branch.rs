@@ -37,8 +37,6 @@ pub struct Gshare {
     history_bits: u32,
     table: Vec<u8>,
     history: u64,
-    correct: u64,
-    mispredicted: u64,
 }
 
 impl Gshare {
@@ -54,8 +52,6 @@ impl Gshare {
             history_bits,
             table: vec![1; 1 << history_bits], // weakly not-taken
             history: 0,
-            correct: 0,
-            mispredicted: 0,
         }
     }
 
@@ -79,41 +75,10 @@ impl Gshare {
         let mask = (1u64 << self.history_bits) - 1;
         self.history = ((self.history << 1) | u64::from(taken)) & mask;
         if predicted_taken == taken {
-            self.correct += 1;
             Prediction::Correct
         } else {
-            self.mispredicted += 1;
             Prediction::Mispredicted
         }
-    }
-
-    /// Correct predictions so far.
-    #[must_use]
-    pub fn correct(&self) -> u64 {
-        self.correct
-    }
-
-    /// Mispredictions so far.
-    #[must_use]
-    pub fn mispredicted(&self) -> u64 {
-        self.mispredicted
-    }
-
-    /// Misprediction ratio (0 when no branches executed).
-    #[must_use]
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.correct + self.mispredicted;
-        if total == 0 {
-            0.0
-        } else {
-            self.mispredicted as f64 / total as f64
-        }
-    }
-
-    /// Zeroes prediction statistics (table state is kept).
-    pub fn reset_stats(&mut self) {
-        self.correct = 0;
-        self.mispredicted = 0;
     }
 
     /// Clears all learned state (container switch).
@@ -128,17 +93,23 @@ mod tests {
     use super::*;
     use hmd_util::rng::prelude::*;
 
+    /// Misprediction ratio over a sequence of `(pc, taken)` branches.
+    fn miss_ratio(bp: &mut Gshare, branches: impl IntoIterator<Item = (u64, bool)>) -> f64 {
+        let (mut total, mut missed) = (0usize, 0usize);
+        for (pc, taken) in branches {
+            total += 1;
+            missed += usize::from(bp.execute(pc, taken).is_miss());
+        }
+        missed as f64 / total as f64
+    }
+
     #[test]
     fn learns_static_branch() {
         let mut bp = Gshare::new(8);
         for _ in 0..10 {
             bp.execute(0x1000, true);
         }
-        bp.reset_stats();
-        for _ in 0..100 {
-            bp.execute(0x1000, true);
-        }
-        assert_eq!(bp.mispredicted(), 0);
+        assert_eq!(miss_ratio(&mut bp, (0..100).map(|_| (0x1000, true))), 0.0);
     }
 
     #[test]
@@ -148,25 +119,18 @@ mod tests {
         for i in 0..64 {
             bp.execute(0x2000, i % 2 == 0);
         }
-        bp.reset_stats();
-        for i in 0..200 {
-            bp.execute(0x2000, i % 2 == 0);
-        }
-        assert!(
-            bp.miss_ratio() < 0.05,
-            "alternating pattern should be learned, miss ratio {}",
-            bp.miss_ratio()
-        );
+        let r = miss_ratio(&mut bp, (0..200).map(|i| (0x2000, i % 2 == 0)));
+        assert!(r < 0.05, "alternating pattern should be learned, miss ratio {r}");
     }
 
     #[test]
     fn random_branches_mispredict_about_half() {
         let mut bp = Gshare::new(12);
         let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..20_000 {
-            bp.execute(rng.random_range(0..1u64 << 20) << 2, rng.random_bool(0.5));
-        }
-        let r = bp.miss_ratio();
+        let branches: Vec<(u64, bool)> = (0..20_000)
+            .map(|_| (rng.random_range(0..1u64 << 20) << 2, rng.random_bool(0.5)))
+            .collect();
+        let r = miss_ratio(&mut bp, branches);
         assert!((0.4..0.6).contains(&r), "random miss ratio {r}");
     }
 
@@ -174,10 +138,11 @@ mod tests {
     fn biased_branches_mispredict_less() {
         let mut bp = Gshare::new(12);
         let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..20_000 {
-            bp.execute(0x3000 + rng.random_range(0..16u64) * 4, rng.random_bool(0.95));
-        }
-        assert!(bp.miss_ratio() < 0.15, "biased miss ratio {}", bp.miss_ratio());
+        let branches: Vec<(u64, bool)> = (0..20_000)
+            .map(|_| (0x3000 + rng.random_range(0..16u64) * 4, rng.random_bool(0.95)))
+            .collect();
+        let r = miss_ratio(&mut bp, branches);
+        assert!(r < 0.15, "biased miss ratio {r}");
     }
 
     #[test]
@@ -187,9 +152,8 @@ mod tests {
             bp.execute(0x1000, true);
         }
         bp.flush();
-        bp.reset_stats();
-        bp.execute(0x1000, true);
-        assert_eq!(bp.mispredicted(), 1); // back to weakly not-taken
+        // back to weakly not-taken
+        assert_eq!(bp.execute(0x1000, true), Prediction::Mispredicted);
     }
 
     #[test]

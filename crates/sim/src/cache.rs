@@ -89,6 +89,12 @@ impl CacheConfig {
 
 /// One set-associative cache level with true-LRU replacement.
 ///
+/// Each set keeps its tags in recency order, most recently used first,
+/// so the LRU victim is always the set's last slot. A hit moves the tag
+/// to the front and a miss shifts the set down by one and writes the new
+/// tag in front. Empty ways hold `u64::MAX` and sit behind every valid
+/// tag, so a miss fills an empty way before it evicts anything.
+///
 /// # Example
 ///
 /// ```
@@ -101,14 +107,15 @@ impl CacheConfig {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: usize,
-    /// tags[set * ways + way]; `u64::MAX` marks an empty way.
+    /// `log2(line_size)`: address → line index.
+    line_shift: u32,
+    /// `log2(sets)`: line index → tag.
+    set_shift: u32,
+    /// `sets - 1`: line index → set.
+    set_mask: u64,
+    /// `tags[set * ways..][..ways]`, most recently used first;
+    /// `u64::MAX` marks an empty way.
     tags: Vec<u64>,
-    /// Monotonic per-access stamp for LRU ordering.
-    stamps: Vec<u64>,
-    clock: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -124,12 +131,10 @@ impl Cache {
         let sets = config.sets();
         Self {
             config,
-            sets,
+            line_shift: config.line_size.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets as u64 - 1,
             tags: vec![u64::MAX; sets * config.ways],
-            stamps: vec![0; sets * config.ways],
-            clock: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -140,73 +145,41 @@ impl Cache {
     }
 
     /// Looks up `addr`, filling the line (with LRU eviction) on a miss.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> Access {
-        self.clock += 1;
-        let line = addr / self.config.line_size as u64;
-        let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
-        let base = set * self.config.ways;
-        let ways = &mut self.tags[base..base + self.config.ways];
-        if let Some(way) = ways.iter().position(|&t| t == tag) {
-            self.stamps[base + way] = self.clock;
-            self.hits += 1;
-            return Access::Hit;
-        }
-        // miss → evict LRU way
-        let lru = (0..self.config.ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("ways > 0");
-        self.tags[base + lru] = tag;
-        self.stamps[base + lru] = self.clock;
-        self.misses += 1;
-        Access::Miss
-    }
-
-    /// Total hits since construction or [`Self::reset_stats`].
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Total misses since construction or [`Self::reset_stats`].
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Miss ratio (0 when no accesses were made).
-    #[must_use]
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-
-    /// Zeroes hit/miss statistics (contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
+        let line = addr >> self.line_shift;
+        let ways = self.config.ways;
+        let base = (line & self.set_mask) as usize * ways;
+        touch(&mut self.tags[base..base + ways], line >> self.set_shift)
     }
 
     /// Invalidates every line (e.g. on container context switch).
     pub fn flush(&mut self) {
         self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
     }
 }
 
+/// One access to a recency-ordered set: a hit moves `tag` to the front,
+/// a miss evicts the last (least recently used) slot and puts `tag` in
+/// front.
+#[inline]
+fn touch(set: &mut [u64], tag: u64) -> Access {
+    let (end, outcome) = match set.iter().position(|&t| t == tag) {
+        Some(way) => (way, Access::Hit),
+        None => (set.len() - 1, Access::Miss),
+    };
+    set.copy_within(..end, 1);
+    set[0] = tag;
+    outcome
+}
+
 /// A fully-associative TLB with LRU replacement over 4 KiB pages.
+///
+/// Pages are kept in recency order like one [`Cache`] set.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    entries: usize,
+    /// Most recently used first; `u64::MAX` marks an empty entry.
     pages: Vec<u64>,
-    stamps: Vec<u64>,
-    clock: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Tlb {
@@ -221,75 +194,42 @@ impl Tlb {
     #[must_use]
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "TLB needs at least one entry");
-        Self {
-            entries,
-            pages: vec![u64::MAX; entries],
-            stamps: vec![0; entries],
-            clock: 0,
-            hits: 0,
-            misses: 0,
-        }
+        Self { pages: vec![u64::MAX; entries] }
     }
 
     /// Translates `addr`, filling the entry on a miss.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> Access {
-        self.clock += 1;
-        let page = addr / Self::PAGE_SIZE;
-        if let Some(i) = self.pages.iter().position(|&p| p == page) {
-            self.stamps[i] = self.clock;
-            self.hits += 1;
-            return Access::Hit;
-        }
-        let lru = (0..self.entries).min_by_key(|&i| self.stamps[i]).expect("entries > 0");
-        self.pages[lru] = page;
-        self.stamps[lru] = self.clock;
-        self.misses += 1;
-        Access::Miss
-    }
-
-    /// Total hits.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Total misses.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
+        touch(&mut self.pages, addr / Self::PAGE_SIZE)
     }
 
     /// Invalidates every entry.
     pub fn flush(&mut self) {
         self.pages.fill(u64::MAX);
-        self.stamps.fill(0);
-    }
-
-    /// Zeroes hit/miss statistics.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmd_util::prop_tests;
+    use hmd_util::proptest_lite::collection;
 
     fn tiny() -> Cache {
         // 4 sets × 2 ways × 64 B lines
         Cache::new(CacheConfig { capacity: 512, ways: 2, line_size: 64 })
     }
 
+    fn misses(outcomes: impl IntoIterator<Item = Access>) -> usize {
+        outcomes.into_iter().filter(|a| a.is_miss()).count()
+    }
+
     #[test]
     fn cold_miss_then_hit() {
         let mut c = tiny();
-        assert!(c.access(0).is_miss());
-        assert_eq!(c.access(0), Access::Hit);
-        assert_eq!(c.access(63), Access::Hit); // same line
-        assert!(c.access(64).is_miss()); // next line
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
+        let outcomes: Vec<Access> = [0, 0, 63, 64].map(|a| c.access(a)).to_vec();
+        // same line twice more, then the next line
+        assert_eq!(outcomes, [Access::Miss, Access::Hit, Access::Hit, Access::Miss]);
     }
 
     #[test]
@@ -308,30 +248,19 @@ mod tests {
     #[test]
     fn working_set_larger_than_capacity_thrashes() {
         let mut small = Cache::new(CacheConfig { capacity: 1024, ways: 2, line_size: 64 });
-        // cyclic scan over 4 KiB > 1 KiB capacity → ~100% misses after warmup
-        for round in 0..8 {
-            for line in 0..64u64 {
-                let a = small.access(line * 64);
-                if round > 0 {
-                    assert!(a.is_miss());
-                }
-            }
+        // cyclic scan over 4 KiB > 1 KiB capacity → every access misses
+        for _ in 0..8 {
+            assert_eq!(misses((0..64u64).map(|line| small.access(line * 64))), 64);
         }
-        assert!(small.miss_ratio() > 0.9);
     }
 
     #[test]
     fn working_set_within_capacity_hits() {
         let mut c = Cache::new(CacheConfig::l1d());
-        for _ in 0..4 {
-            for line in 0..128u64 {
-                c.access(line * 64);
-            }
-        }
-        assert!(c.miss_ratio() < 0.3);
-        c.reset_stats();
-        for line in 0..128u64 {
-            assert_eq!(c.access(line * 64), Access::Hit);
+        // 128 lines fit: only the first pass misses
+        assert_eq!(misses((0..128u64).map(|line| c.access(line * 64))), 128);
+        for _ in 0..3 {
+            assert_eq!(misses((0..128u64).map(|line| c.access(line * 64))), 0);
         }
     }
 
@@ -367,16 +296,121 @@ mod tests {
         assert_eq!(t.access(0), Access::Hit);
         assert!(t.access(2 * 4096).is_miss()); // evicts page 1 (LRU)
         assert!(t.access(4096).is_miss());
-        assert_eq!(t.hits(), 2);
     }
 
     #[test]
-    fn tlb_flush_and_reset() {
+    fn tlb_flush_invalidates() {
         let mut t = Tlb::new(4);
         t.access(0);
         t.flush();
         assert!(t.access(0).is_miss());
-        t.reset_stats();
-        assert_eq!(t.misses(), 0);
+    }
+
+    /// The reference model: true LRU by per-way access stamps and a
+    /// minimum-stamp victim scan, indexed by division.
+    struct StampLru {
+        sets: u64,
+        ways: usize,
+        line_size: u64,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        clock: u64,
+    }
+
+    impl StampLru {
+        fn new(sets: usize, ways: usize, line_size: u64) -> Self {
+            Self {
+                sets: sets as u64,
+                ways,
+                line_size,
+                tags: vec![u64::MAX; sets * ways],
+                stamps: vec![0; sets * ways],
+                clock: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> Access {
+            self.clock += 1;
+            let line = addr / self.line_size;
+            let base = (line % self.sets) as usize * self.ways;
+            let tag = line / self.sets;
+            let range = base..base + self.ways;
+            if let Some(way) = self.tags[range.clone()].iter().position(|&t| t == tag) {
+                self.stamps[base + way] = self.clock;
+                return Access::Hit;
+            }
+            let lru = range.min_by_key(|&i| self.stamps[i]).expect("ways > 0");
+            self.tags[lru] = tag;
+            self.stamps[lru] = self.clock;
+            Access::Miss
+        }
+
+        fn flush(&mut self) {
+            self.tags.fill(u64::MAX);
+            self.stamps.fill(0);
+        }
+    }
+
+    /// An op stream over `lines` distinct lines `stride` lines apart: a
+    /// stride equal to the set count piles every line into one set, a
+    /// stride of 1 spreads them; [`FLUSH`] flushes.
+    const FLUSH: u64 = 64;
+
+    fn addr(op: u64, stride: u64, unit: u64) -> u64 {
+        // a high base and an in-line offset exercise the index arithmetic
+        0x5600_0000_0000 + op * stride * unit + (op * 7) % unit
+    }
+
+    fn geometries() -> [CacheConfig; 5] {
+        let d = crate::machine::MachineConfig::default();
+        [d.l1d, d.l1i, d.l2, d.llc, CacheConfig { capacity: 512, ways: 2, line_size: 64 }]
+    }
+
+    prop_tests! {
+        cases = 48;
+
+        /// The recency-ordered cache makes the same hit/miss sequence as
+        /// stamp-based true LRU on every scaled default geometry.
+        fn cache_matches_stamp_lru(
+            stride in 1u64..=1024,
+            ops in collection::vec(0u64..=FLUSH, 1..600),
+        ) {
+            for cfg in geometries() {
+                let mut fast = Cache::new(cfg);
+                let mut oracle = StampLru::new(cfg.sets(), cfg.ways, cfg.line_size as u64);
+                let unit = cfg.line_size as u64;
+                for &op in &ops {
+                    if op == FLUSH {
+                        fast.flush();
+                        oracle.flush();
+                    } else {
+                        let a = addr(op, stride, unit);
+                        assert_eq!(fast.access(a), oracle.access(a), "{cfg:?} op {op}");
+                    }
+                }
+            }
+        }
+
+        /// The recency-ordered TLB makes the same hit/miss sequence as a
+        /// one-set stamp-based LRU.
+        fn tlb_matches_stamp_lru(
+            stride in 1u64..=4,
+            ops in collection::vec(0u64..=FLUSH, 1..600),
+        ) {
+            let d = crate::machine::MachineConfig::default();
+            for entries in [d.dtlb_entries, d.itlb_entries, 2] {
+                let mut fast = Tlb::new(entries);
+                let mut oracle = StampLru::new(1, entries, Tlb::PAGE_SIZE);
+                for &op in &ops {
+                    if op == FLUSH {
+                        fast.flush();
+                        oracle.flush();
+                    } else {
+                        let a = addr(op % 24, stride, Tlb::PAGE_SIZE);
+                        assert_eq!(fast.access(a), oracle.access(a), "{entries} entries op {op}");
+                    }
+                }
+            }
+        }
     }
 }

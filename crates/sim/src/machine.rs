@@ -1,6 +1,7 @@
 //! The simulated core: caches + branch predictor + TLBs + cycle model.
 
 use hmd_util::rng::prelude::*;
+use hmd_util::rng::{Distribution, UniformBelow};
 
 use crate::branch::Gshare;
 use crate::cache::{Cache, CacheConfig, Tlb};
@@ -159,17 +160,85 @@ impl RunningWorkload {
         &self.profile.phases[self.phase_idx]
     }
 
-    fn maybe_advance_phase(&mut self) {
-        if self.instr_in_phase >= self.phase_len {
-            self.phase_idx = self.profile.pick_phase(&mut self.rng);
-            self.instr_in_phase = 0;
-            // Phase lengths sit at a few sampling windows: each 10 ms
-            // sample sees mostly one phase with occasional transitions,
-            // matching how real program phases (100 ms – seconds) look at
-            // the simulator's scaled-down time base.
-            self.phase_len = self.rng.random_range(30_000..120_000);
-            self.stream_pos = self.rng.random_range(0..self.current_phase().mem.working_set);
+    /// Draws the next phase once the current one has run its length;
+    /// returns whether it did.
+    fn maybe_advance_phase(&mut self) -> bool {
+        if self.instr_in_phase < self.phase_len {
+            return false;
         }
+        self.phase_idx = self.profile.pick_phase(&mut self.rng);
+        self.instr_in_phase = 0;
+        // Phase lengths sit at a few sampling windows: each 10 ms
+        // sample sees mostly one phase with occasional transitions,
+        // matching how real program phases (100 ms – seconds) look at
+        // the simulator's scaled-down time base.
+        self.phase_len = self.rng.random_range(30_000..120_000);
+        // drawn over the unscaled working set, so the cursor may start
+        // past the scaled one
+        self.stream_pos = self.rng.random_range(0..self.current_phase().mem.working_set);
+        true
+    }
+}
+
+/// Hot-loop length of the PC walk, bytes.
+const LOOP_SIZE: u64 = 1024;
+
+/// What the per-instruction loop needs of one phase at one footprint
+/// scale, derived once per phase change rather than once per
+/// instruction.
+#[derive(Copy, Clone, Debug)]
+struct PhaseConsts {
+    phase: Phase,
+    /// Scaled data working set, bytes.
+    data_ws: u64,
+    /// Hot-loop length: [`LOOP_SIZE`] capped by the scaled code footprint.
+    loop_len: u64,
+    /// Probability per instruction of jumping to another function.
+    jump_prob: f64,
+    /// A jump target in the scaled code footprint.
+    jump_target: UniformBelow,
+    /// A static branch site.
+    branch_site: UniformBelow,
+    /// A random address in the hot region.
+    hot_offset: UniformBelow,
+    /// A random address in the whole scaled working set.
+    data_offset: UniformBelow,
+}
+
+impl PhaseConsts {
+    /// The constants of `phase` with footprints divided by `fscale`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the phase has no branch sites.
+    fn new(phase: Phase, fscale: u64) -> Self {
+        let data_ws = (phase.mem.working_set / fscale).max(4096);
+        let code_ws = (phase.icache_footprint / fscale).max(1024);
+        let hot = ((data_ws as f64 * phase.mem.hot_fraction) as u64).max(64);
+        Self {
+            phase,
+            data_ws,
+            loop_len: LOOP_SIZE.min(code_ws),
+            // unpredictable control flow (low branch predictability,
+            // e.g. rootkit hook trampolines) jumps more
+            jump_prob: 0.002 + 0.06 * (1.0 - phase.branch.predictability),
+            jump_target: UniformBelow::new(code_ws),
+            branch_site: UniformBelow::new(phase.branch.pc_diversity),
+            hot_offset: UniformBelow::new(hot),
+            data_offset: UniformBelow::new(data_ws),
+        }
+    }
+}
+
+/// `(x + step) % m`, skipping the division while `x + step` is already
+/// below `m`.
+#[inline]
+fn wrap_add(x: u64, step: u64, m: u64) -> u64 {
+    let next = x + step;
+    if next < m {
+        next
+    } else {
+        next % m
     }
 }
 
@@ -243,24 +312,22 @@ impl Machine {
         let mut branch_miss = 0u64;
 
         let fscale = self.config.footprint_scale.max(1);
+        let mut k = PhaseConsts::new(*workload.current_phase(), fscale);
         for i in 0..slice {
-            workload.maybe_advance_phase();
+            if workload.maybe_advance_phase() {
+                k = PhaseConsts::new(*workload.current_phase(), fscale);
+            }
             workload.instr_in_phase += 1;
-            let ph = *workload.current_phase();
-            let data_ws = (ph.mem.working_set / fscale).max(4096);
-            let code_ws = (ph.icache_footprint / fscale).max(1024);
+            let ph = &k.phase;
 
             // ---- instruction fetch side ----
             // PC walk with loop locality: execution cycles inside a small
             // hot loop and occasionally jumps to another function in the
-            // footprint. Unpredictable control flow (low branch
-            // predictability, e.g. rootkit hook trampolines) jumps more.
-            const LOOP_SIZE: u64 = 1024;
-            let jump_prob = 0.002 + 0.06 * (1.0 - ph.branch.predictability);
-            if workload.rng.random_bool(jump_prob) {
-                workload.loop_base = workload.rng.random_range(0..code_ws);
+            // footprint.
+            if workload.rng.random_bool(k.jump_prob) {
+                workload.loop_base = k.jump_target.sample(&mut workload.rng);
             }
-            workload.pc_offset = (workload.pc_offset + 4) % LOOP_SIZE.min(code_ws);
+            workload.pc_offset = wrap_add(workload.pc_offset, 4, k.loop_len);
             let pc = workload.code_base + workload.loop_base + workload.pc_offset;
             // one icache/iTLB probe per 16-instruction fetch group
             if i % 16 == 0 {
@@ -283,8 +350,7 @@ impl Machine {
             // ---- branch side ----
             if workload.rng.random_bool(ph.branch.branch_ratio) {
                 branches += 1;
-                let site =
-                    workload.rng.random_range(0..ph.branch.pc_diversity) * 4 + workload.code_base;
+                let site = k.branch_site.sample(&mut workload.rng) * 4 + workload.code_base;
                 let taken = if workload.rng.random_bool(ph.branch.predictability) {
                     // stable per-site direction: derive from the site id
                     !site.is_multiple_of(3)
@@ -300,13 +366,12 @@ impl Machine {
             if workload.rng.random_bool(ph.mem.mem_ratio) {
                 let is_store = workload.rng.random_bool(ph.mem.store_ratio);
                 let addr = if workload.rng.random_bool(ph.mem.stream_prob) {
-                    workload.stream_pos = (workload.stream_pos + ph.mem.stride) % data_ws;
+                    workload.stream_pos = wrap_add(workload.stream_pos, ph.mem.stride, k.data_ws);
                     workload.heap_base + workload.stream_pos
                 } else if workload.rng.random_bool(ph.mem.hot_prob) {
-                    let hot = ((data_ws as f64 * ph.mem.hot_fraction) as u64).max(64);
-                    workload.heap_base + workload.rng.random_range(0..hot)
+                    workload.heap_base + k.hot_offset.sample(&mut workload.rng)
                 } else {
-                    workload.heap_base + workload.rng.random_range(0..data_ws)
+                    workload.heap_base + k.data_offset.sample(&mut workload.rng)
                 };
                 if is_store {
                     mem_stores += 1;
@@ -349,7 +414,7 @@ impl Machine {
         }
 
         // ---- cycle model over the slice ----
-        let ph = *workload.current_phase();
+        let ph = k.phase;
         let base_cycles = slice as f64 / ph.ipc_base;
         let l1d_miss = l1d_load_miss + l1d_store_miss;
         let llc_miss = llc_load_miss + llc_store_miss;

@@ -290,20 +290,60 @@ impl StandardUniform for i128 {
 // Ranged uniform sampling
 // ---------------------------------------------------------------------------
 
-/// Unbiased uniform draw from `[0, n)` by rejection (Lemire-style
-/// threshold on the raw 64-bit word — no modulo bias).
-#[inline]
-fn uniform_u64_below<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
-    debug_assert!(n > 0);
-    // 2^64 mod n: raw words below this threshold would over-represent
-    // the low residues, so reject them.
-    let threshold = n.wrapping_neg() % n;
-    loop {
-        let x = rng.next_u64();
-        if x >= threshold {
-            return x % n;
+/// Unbiased uniform draws from `[0, n)` by rejection (Lemire-style
+/// threshold on the raw 64-bit word — no modulo bias), with the
+/// threshold computed once.
+///
+/// A sampler built once and drawn many times saves the division that
+/// derives the threshold; it consumes the same words and returns the
+/// same values as `random_range(0..n)`, which runs through it.
+///
+/// # Example
+///
+/// ```
+/// use hmd_util::rng::{Distribution, Rng, StdRng, UniformBelow};
+///
+/// let below = UniformBelow::new(10);
+/// let (mut a, mut b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+/// assert_eq!(below.sample(&mut a), b.random_range(0..10u64));
+/// ```
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct UniformBelow {
+    n: u64,
+    /// 2^64 mod n: raw words below this would over-represent the low
+    /// residues, so they are rejected.
+    threshold: u64,
+}
+
+impl UniformBelow {
+    /// A sampler over `[0, n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    #[inline]
+    #[must_use]
+    pub fn new(n: u64) -> Self {
+        assert!(n > 0, "UniformBelow: empty range 0..0");
+        Self { n, threshold: n.wrapping_neg() % n }
+    }
+}
+
+impl Distribution<u64> for UniformBelow {
+    #[inline]
+    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
+        loop {
+            let x = rng.next_u64();
+            if x >= self.threshold {
+                return x % self.n;
+            }
         }
     }
+}
+
+#[inline]
+fn uniform_u64_below<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
+    UniformBelow::new(n).sample(rng)
 }
 
 /// Types that can be sampled uniformly from a range.
@@ -774,6 +814,44 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let x = draw(&mut rng);
         assert!((0.0..1.0).contains(&x));
+    }
+
+    /// The hoisted sampler draws the same words and returns the same
+    /// values as `random_range(0..n)` and as the rejection rule written
+    /// out, at the range edges (n = 1, where every word is accepted;
+    /// n = 2^63 + 1, which rejects almost half of them; n = u64::MAX)
+    /// and in between.
+    #[test]
+    fn uniform_below_matches_random_range() {
+        use crate::proptest_lite::run_property;
+        let mut ns = vec![1, 2, 3, (1 << 63) + 1, u64::MAX];
+        ns.extend((1..64).map(|k| 1u64 << k));
+        for n in ns {
+            let below = UniformBelow::new(n);
+            let reference = |rng: &mut StdRng| loop {
+                let x = rng.next_u64();
+                if x >= (u64::MAX - n + 1) % n {
+                    break x % n;
+                }
+            };
+            run_property("uniform_below_matches_random_range", 8, &(0u64..u64::MAX,), |&(seed,)| {
+                let mut a = StdRng::seed_from_u64(seed);
+                let mut b = StdRng::seed_from_u64(seed);
+                let mut c = StdRng::seed_from_u64(seed);
+                for _ in 0..64 {
+                    let v = below.sample(&mut a);
+                    assert_eq!(v, b.random_range(0..n), "n = {n}");
+                    assert_eq!(v, reference(&mut c), "n = {n}");
+                    assert!(a == b && b == c, "n = {n}: word streams diverged");
+                }
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn uniform_below_rejects_zero() {
+        let _ = UniformBelow::new(0);
     }
 
     #[test]

@@ -239,12 +239,19 @@ impl ServingConfig {
         }
     }
 
-    /// Rejects a configuration no session can serve: an empty flight
-    /// recorder, or a sample budget whose stream clock
-    /// (`samples × tick_ns`) overflows `u64`. Session assembly and
-    /// [`IncidentBundle::parse`] (a bundle is untrusted input) both run
-    /// it.
+    /// Rejects a configuration no session can serve: a traffic
+    /// fraction outside `[0, 1]`, an empty flight recorder, or a sample
+    /// budget whose stream clock (`samples × tick_ns`) overflows `u64`.
+    /// Session assembly and [`IncidentBundle::parse`] (a bundle is
+    /// untrusted input) both run it.
     pub(crate) fn check(&self) -> Result<(), CoreError> {
+        let unit = |p: f64| (0.0..=1.0).contains(&p);
+        if !unit(self.malware_fraction) {
+            return Err(CoreError::Invalid("malware_fraction must be in [0, 1]"));
+        }
+        if !unit(self.adv_fraction) || self.burst.is_some_and(|b| !unit(b.adv_fraction)) {
+            return Err(CoreError::Invalid("adv_fraction must be in [0, 1]"));
+        }
         if self.recorder == 0 {
             return Err(CoreError::Invalid("the flight recorder must hold at least one window"));
         }

@@ -95,6 +95,11 @@ fn a_bad_window_shape_is_an_error() {
         ("\"recorder\":64,", "\"recorder\":0,"),
         // 600 samples × u64::MAX ns overflows the stream clock
         ("\"tick_ns\":10000000,", "\"tick_ns\":18446744073709551615,"),
+        // traffic fractions are probabilities; the stream asserts them
+        ("\"malware_fraction\":0.3,", "\"malware_fraction\":1.5,"),
+        ("\"malware_fraction\":0.3,", "\"malware_fraction\":-0.1,"),
+        ("\"adv_fraction\":0.02,", "\"adv_fraction\":1.5,"),
+        ("\"adv_fraction\":1.0}", "\"adv_fraction\":-0.5}"),
     ] {
         assert!(V3.contains(from), "fixture lacks {from}");
         let text = V3.replace(from, to);
