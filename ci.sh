@@ -112,6 +112,27 @@ grep -Eq '^REPLAY_TRACES [1-9]' "$TRACE_DIR/replay.out" \
 grep -Eq '^REPLAY_SCORES [1-9]' "$TRACE_DIR/replay.out" \
     || { echo "ERROR: replay checked no recorded critic values" >&2; exit 1; }
 
+echo "== replay hostile-input gate =="
+# A bundle is untrusted input: replay must answer a malformed one with
+# exit status 2, never a crash. Two files: 200,000 nested '[' (past the
+# JSON parser's nesting cap), and the captured incident with a batch
+# size no session could allocate (past ServingConfig's MAX_BATCH).
+head -c 200000 /dev/zero | tr '\0' '[' > "$TRACE_DIR/deep.json"
+sed -E 's/"batch":[0-9]+/"batch":4611686018427387904/' "$TRACE_DIR/incident.json" \
+    > "$TRACE_DIR/huge-batch.json"
+grep -q '"batch":4611686018427387904' "$TRACE_DIR/huge-batch.json" \
+    || { echo "ERROR: the captured incident has no batch field" >&2; exit 1; }
+for hostile in deep.json huge-batch.json; do
+    status=0
+    ./target/release/replay "$TRACE_DIR/$hostile" > /dev/null 2> "$TRACE_DIR/hostile.err" \
+        || status=$?
+    [ "$status" -eq 2 ] || {
+        echo "ERROR: replay exited $status on $hostile, want 2:" >&2
+        tail -n 5 "$TRACE_DIR/hostile.err" >&2
+        exit 1
+    }
+done
+
 echo "== hermeticity: dependency tree must be workspace-only =="
 if cargo tree --workspace --offline --prefix none | grep -v '^hmd' | grep -q '[a-z]'; then
     echo "ERROR: non-workspace dependency found:" >&2

@@ -169,12 +169,6 @@ impl MovingTargetDefense {
         Ok(Self { generations, period, queries: std::sync::atomic::AtomicU64::new(0) })
     }
 
-    /// Number of model generations in the rotation.
-    #[must_use]
-    pub fn generation_count(&self) -> usize {
-        self.generations.len()
-    }
-
     /// The generation currently active.
     #[must_use]
     pub fn active_generation(&self) -> usize {
@@ -295,7 +289,6 @@ mod tests {
             7,
         )
         .unwrap();
-        assert_eq!(mtd.generation_count(), 3);
         assert_eq!(mtd.active_generation(), 0);
         for i in 0..10 {
             let _ = mtd.predict_proba_row(d.row(i).unwrap()).unwrap();

@@ -15,7 +15,7 @@ use hmd_util::alloc::CountingAllocator;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
-use hmd_ml::{Classifier, Knn, RandomForest, RandomForestConfig};
+use hmd_ml::{Classifier, RandomForest, RandomForestConfig};
 use hmd_nn::{Dense, Loss, Optimizer, Relu, Sequential, Tensor};
 use hmd_sim::corpus::{build_corpus, CorpusConfig};
 use hmd_sim::machine::{Machine, MachineConfig, RunningWorkload};
@@ -149,12 +149,6 @@ fn bench_parallel_models(h: &mut Harness) {
     });
 
     let (test, _) = blobs(256, 22);
-    let mut knn = Knn::new();
-    knn.fit(&train, &targets).unwrap();
-    bench_thread_pair(h, "par/knn_batch_predict_512rows", || {
-        black_box(knn.predict_proba(black_box(&test)).unwrap())
-    });
-
     let mut forest = RandomForest::with_config(forest_config);
     forest.fit(&train, &targets).unwrap();
     bench_thread_pair(h, "par/forest_batch_predict_512rows", || {
@@ -213,12 +207,10 @@ fn bench_obs(h: &mut Harness) {
 }
 
 fn bench_serving(h: &mut Harness) {
-    use hmd::{FleetSession, ServingConfig, ServingSession};
-    // Fleet-serving throughput: samples/sec through the full deployed
-    // loop (draw + feature-select + scale + batched classify + window
-    // recording), 1 shard vs one shard per core. Training happens once
-    // outside the timed region; each iteration assembles fresh sessions
-    // around the shared artifacts and streams the whole budget.
+    use hmd::{ServingConfig, ServingSession};
+    // Training happens once; the measured session is assembled around
+    // the trained artifacts. Serving throughput and latency are
+    // measured end to end by hmdbench, not here.
     let mut cfg = ServingConfig::quick(41);
     cfg.samples = 256;
     cfg.batch = 32;
@@ -230,32 +222,6 @@ fn bench_serving(h: &mut Harness) {
     cfg.rules = trainer.slo_rules().to_vec();
     cfg.calibration_samples = 0;
     drop(trainer);
-    let all_shards = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    for (id, n_shards) in
-        [("serve/throughput_1shard", 1usize), ("serve/throughput_allshards", all_shards)]
-    {
-        h.bench_with_throughput(
-            id,
-            Throughput::Elements((cfg.samples * n_shards) as u64),
-            || {
-                let mut fleet = FleetSession::with_artifacts(&cfg, n_shards, artifacts.clone())
-                    .expect("assemble fleet");
-                black_box(fleet.run().expect("fleet run"))
-            },
-        );
-    }
-
-    // One session (the same budget as the fleet records, one shard)
-    // on the caller's thread: the serving path without fleet setup.
-    h.bench_with_throughput(
-        "serve/session_arena_batch32",
-        Throughput::Elements(cfg.samples as u64),
-        || {
-            let mut session = ServingSession::with_artifacts(cfg.clone(), artifacts.clone())
-                .expect("assemble session");
-            black_box(session.run_to_completion().expect("session run"))
-        },
-    );
 
     // Steady-state allocation count: replay-ring traffic through the
     // arena path, measured across the back half of the budget once the

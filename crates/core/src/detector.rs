@@ -506,12 +506,6 @@ impl AdaptiveDetector {
     pub fn quarantined(&self) -> usize {
         self.quarantine_guard().len()
     }
-
-    /// The model the constraint controller routed inference to.
-    #[must_use]
-    pub fn active_model(&self) -> &dyn Classifier {
-        self.models[self.controller.selected_model()].as_ref()
-    }
 }
 
 #[cfg(test)]

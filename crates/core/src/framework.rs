@@ -571,19 +571,6 @@ impl Framework {
     }
 }
 
-/// Convenience: the full metric suite of one fitted model on one set.
-///
-/// # Errors
-///
-/// Propagates prediction failures.
-pub fn metrics_of(
-    model: &dyn Classifier,
-    data: &Dataset,
-    targets: &[f64],
-) -> Result<BinaryMetrics, CoreError> {
-    Ok(evaluate(model, data, targets)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

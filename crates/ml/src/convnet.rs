@@ -173,7 +173,7 @@ impl Classifier for ConvNet {
         let nn = self.net.as_ref().map_or_else(hmd_nn::InferScratch::default, |net| {
             hmd_nn::InferScratch::for_net(net, self.n_features, max_rows.max(1))
         });
-        PredictScratch { nn, ..PredictScratch::default() }
+        PredictScratch { nn }
     }
 
     fn predict_proba_row_with(

@@ -44,7 +44,6 @@
 pub mod convnet;
 pub mod forest;
 pub mod gbdt;
-pub mod knn;
 pub mod logreg;
 pub mod metrics;
 pub mod mlp;
@@ -57,7 +56,6 @@ pub use convnet::{ConvNet, ConvNetConfig};
 pub use error::MlError;
 pub use forest::{RandomForest, RandomForestConfig};
 pub use gbdt::{Gbdt, GbdtConfig};
-pub use knn::{Knn, KnnConfig};
 pub use logreg::{LogisticRegression, LogisticRegressionConfig};
 pub use metrics::{roc_auc, BinaryMetrics, ConfusionMatrix};
 pub use mlp::{Mlp, MlpConfig};

@@ -146,7 +146,7 @@ impl Classifier for Mlp {
         let nn = self.net.as_ref().map_or_else(InferScratch::default, |net| {
             InferScratch::for_net(net, self.n_features, max_rows.max(1))
         });
-        PredictScratch { nn, ..PredictScratch::default() }
+        PredictScratch { nn }
     }
 
     fn predict_proba_row_with(

@@ -19,15 +19,12 @@ pub(crate) const PAR_BATCH_MIN: usize = 64;
 ///
 /// One struct serves every model family so arenas can be held uniformly
 /// as `Vec<PredictScratch>` indexed by model: NN-backed models use the
-/// activation ping-pong buffers, k-NN uses the distance buffer, and the
-/// tree/linear models (whose predict path never allocates) use none of
-/// it.
+/// activation ping-pong buffers, and the tree/linear models (whose
+/// predict path never allocates) leave them empty.
 #[derive(Clone, Debug, Default)]
 pub struct PredictScratch {
     /// Activation arenas for NN-backed models (MLP, ConvNet).
     pub nn: InferScratch,
-    /// `(squared distance, target)` pairs for the k-NN vote.
-    pub dists: Vec<(f64, f64)>,
 }
 
 /// A binary malware detector (positive class = attack).
@@ -93,8 +90,8 @@ pub trait Classifier: Send + Sync + std::fmt::Debug {
     /// `max_rows` rows — warmup calls this once per model, the serving
     /// hot path reuses the result forever. The default is empty: the
     /// tree/linear models predict without touching scratch. NN-backed
-    /// and k-NN models override to preallocate what their predict path
-    /// would otherwise allocate per call.
+    /// models override to preallocate what their predict path would
+    /// otherwise allocate per call.
     fn make_scratch(&self, max_rows: usize) -> PredictScratch {
         let _ = max_rows;
         PredictScratch::default()

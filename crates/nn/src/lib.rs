@@ -49,7 +49,7 @@ pub use layer::{
 };
 pub use loss::Loss;
 pub use optimizer::Optimizer;
-pub use regularize::{clip_grad_norm, Dropout};
+pub use regularize::clip_grad_norm;
 pub use scratch::InferScratch;
 pub use sequential::Sequential;
 pub use tensor::{matmul_slices, Tensor};

@@ -86,18 +86,6 @@ impl Optimizer {
         }
     }
 
-    /// Replaces the learning rate (for schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics for a non-positive learning rate.
-    pub fn set_learning_rate(&mut self, new_lr: f64) {
-        assert!(new_lr > 0.0, "learning rate must be positive");
-        match &mut self.kind {
-            OptimizerKind::Sgd { lr, .. } | OptimizerKind::Adam { lr, .. } => *lr = new_lr,
-        }
-    }
-
     /// Applies one update to every block from its accumulated gradients,
     /// then zeroes those gradients.
     pub fn step(&mut self, blocks: &mut [&mut ParamBlock]) {
@@ -202,10 +190,8 @@ mod tests {
 
     #[test]
     fn learning_rate_accessors() {
-        let mut opt = Optimizer::adam(0.01);
+        let opt = Optimizer::adam(0.01);
         assert_eq!(opt.learning_rate(), 0.01);
-        opt.set_learning_rate(0.005);
-        assert_eq!(opt.learning_rate(), 0.005);
     }
 
     #[test]

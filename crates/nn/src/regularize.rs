@@ -1,87 +1,6 @@
-//! Regularization utilities: inverted dropout and gradient clipping.
+//! Regularization utilities: gradient clipping.
 
-use hmd_util::rng::prelude::*;
-
-use crate::layer::{Layer, ParamBlock};
-use crate::Tensor;
-
-/// Inverted dropout: during training each activation is zeroed with
-/// probability `p` and survivors are scaled by `1/(1−p)`, so inference
-/// (which applies no mask) needs no rescaling.
-///
-/// # Example
-///
-/// ```
-/// use hmd_nn::{Dropout, Layer, Tensor};
-///
-/// let mut drop = Dropout::new(0.5, 7);
-/// let x = Tensor::full(4, 8, 1.0);
-/// let y = drop.forward(&x);           // some activations zeroed
-/// assert!(y.as_slice().iter().any(|&v| v == 0.0));
-/// let z = drop.infer(&x);             // inference is the identity
-/// assert_eq!(z, x);
-/// ```
-#[derive(Debug)]
-pub struct Dropout {
-    p: f64,
-    rng: StdRng,
-    mask: Option<Tensor>,
-}
-
-impl Dropout {
-    /// A dropout layer zeroing activations with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ p < 1`.
-    #[must_use]
-    pub fn new(p: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&p), "dropout probability must be in [0, 1)");
-        Self { p, rng: StdRng::seed_from_u64(seed), mask: None }
-    }
-
-    /// The drop probability.
-    #[must_use]
-    pub fn probability(&self) -> f64 {
-        self.p
-    }
-}
-
-impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        if self.p == 0.0 {
-            self.mask = None;
-            return input.clone();
-        }
-        let keep = 1.0 - self.p;
-        let mask = Tensor::from_fn(input.rows(), input.cols(), |_, _| {
-            if self.rng.random_bool(keep) {
-                1.0 / keep
-            } else {
-                0.0
-            }
-        });
-        let out = input.hadamard(&mask);
-        self.mask = Some(mask);
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        input.clone()
-    }
-
-    fn infer_into(&self, input: &[f64], rows: usize, cols: usize, out: &mut [f64]) {
-        assert_eq!(input.len(), rows * cols, "input length must equal rows*cols");
-        out.copy_from_slice(input);
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        match &self.mask {
-            Some(mask) => grad_output.hadamard(mask),
-            None => grad_output.clone(),
-        }
-    }
-}
+use crate::layer::ParamBlock;
 
 /// Scales all accumulated gradients so their global L2 norm does not
 /// exceed `max_norm`; returns the pre-clip norm.
@@ -110,52 +29,7 @@ pub fn clip_grad_norm(blocks: &mut [&mut ParamBlock], max_norm: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dropout_zeroes_about_p_fraction() {
-        let mut drop = Dropout::new(0.3, 1);
-        let x = Tensor::full(100, 100, 1.0);
-        let y = drop.forward(&x);
-        let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
-        let frac = zeros as f64 / y.len() as f64;
-        assert!((frac - 0.3).abs() < 0.02, "zero fraction {frac}");
-        // survivors are scaled to preserve expectation
-        let mean = y.mean();
-        assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn dropout_backward_uses_same_mask() {
-        let mut drop = Dropout::new(0.5, 2);
-        let x = Tensor::full(4, 4, 1.0);
-        let y = drop.forward(&x);
-        let g = drop.backward(&Tensor::full(4, 4, 1.0));
-        // gradient flows exactly where activations survived
-        for (yo, go) in y.as_slice().iter().zip(g.as_slice()) {
-            assert_eq!(*yo == 0.0, *go == 0.0);
-        }
-    }
-
-    #[test]
-    fn dropout_infer_is_identity() {
-        let drop = Dropout::new(0.9, 3);
-        let x = Tensor::from_rows(&[&[1.0, -2.0, 3.0]]);
-        assert_eq!(drop.infer(&x), x);
-    }
-
-    #[test]
-    fn zero_probability_is_passthrough() {
-        let mut drop = Dropout::new(0.0, 4);
-        let x = Tensor::from_rows(&[&[1.0, 2.0]]);
-        assert_eq!(drop.forward(&x), x);
-        assert_eq!(drop.backward(&x), x);
-    }
-
-    #[test]
-    #[should_panic(expected = "dropout probability")]
-    fn rejects_p_of_one() {
-        let _ = Dropout::new(1.0, 5);
-    }
+    use crate::Tensor;
 
     #[test]
     fn clipping_bounds_global_norm() {

@@ -235,15 +235,6 @@ impl Sequential {
     pub fn param_blocks_mut(&mut self) -> Vec<&mut crate::ParamBlock> {
         self.layers.iter_mut().flat_map(|l| l.param_blocks_mut()).collect()
     }
-
-    /// Zeroes all accumulated gradients.
-    pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            for block in layer.param_blocks_mut() {
-                block.zero_grad();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -343,20 +334,5 @@ mod tests {
         let by_infer = net.infer(&x);
         let by_forward = net.forward(&x);
         assert_eq!(by_infer, by_forward);
-    }
-
-    #[test]
-    fn zero_grads_clears_accumulation() {
-        let mut net = xor_net(8);
-        let (x, y) = xor_data();
-        let out = net.forward(&x);
-        let (_, grad) = Loss::Mse.compute(&out, &y);
-        net.backward(&grad);
-        net.zero_grads();
-        for layer in &net.layers {
-            for block in layer.param_blocks() {
-                assert!(block.grads.as_slice().iter().all(|g| *g == 0.0));
-            }
-        }
     }
 }

@@ -99,7 +99,6 @@ impl Default for ControllerConfig {
 pub struct ConstraintController {
     kind: ConstraintKind,
     ucb: Ucb,
-    profiles: Vec<ModelProfile>,
     norm_latency: Vec<f64>,
     norm_size: Vec<f64>,
 }
@@ -187,7 +186,7 @@ impl ConstraintController {
                 ucb.update(arm, kind.reward(correct, norm_latency[arm], norm_size[arm]));
             }
         }
-        Ok(Self { kind, ucb, profiles, norm_latency, norm_size })
+        Ok(Self { kind, ucb, norm_latency, norm_size })
     }
 
     /// The specialization of this controller.
@@ -200,12 +199,6 @@ impl ConstraintController {
     #[must_use]
     pub fn selected_model(&self) -> usize {
         self.ucb.best_arm()
-    }
-
-    /// The profile of the selected model.
-    #[must_use]
-    pub fn selected_profile(&self) -> &ModelProfile {
-        &self.profiles[self.selected_model()]
     }
 
     /// The underlying bandit (for inspection / ablation).

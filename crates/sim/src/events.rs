@@ -257,19 +257,6 @@ impl CounterSet {
         self.counts.fill(0);
     }
 
-    /// Element-wise difference `self − earlier` (saturating), for
-    /// window-delta sampling.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &CounterSet) -> CounterSet {
-        let counts = self
-            .counts
-            .iter()
-            .zip(&earlier.counts)
-            .map(|(now, then)| now.saturating_sub(*then))
-            .collect();
-        CounterSet { counts }
-    }
-
     /// Accumulates another counter set into this one.
     pub fn accumulate(&mut self, other: &CounterSet) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -327,17 +314,15 @@ mod tests {
     }
 
     #[test]
-    fn counter_delta_and_accumulate() {
+    fn counter_accumulate_adds_elementwise() {
         let mut a = CounterSet::new();
         a.add(HpcEvent::LlcLoads, 10);
-        let mut b = a.clone();
-        b.add(HpcEvent::LlcLoads, 5);
-        b.add(HpcEvent::LlcLoadMisses, 2);
-        let d = b.delta_since(&a);
-        assert_eq!(d.get(HpcEvent::LlcLoads), 5);
-        assert_eq!(d.get(HpcEvent::LlcLoadMisses), 2);
+        let mut d = CounterSet::new();
+        d.add(HpcEvent::LlcLoads, 5);
+        d.add(HpcEvent::LlcLoadMisses, 2);
         a.accumulate(&d);
         assert_eq!(a.get(HpcEvent::LlcLoads), 15);
+        assert_eq!(a.get(HpcEvent::LlcLoadMisses), 2);
     }
 
     #[test]

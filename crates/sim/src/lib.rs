@@ -45,7 +45,6 @@ pub mod events;
 pub mod machine;
 pub mod perf;
 pub mod stream;
-pub mod trace;
 pub mod workload;
 
 pub use container::{Container, IsolationMode};
@@ -54,5 +53,4 @@ pub use events::{CounterSet, HpcEvent};
 pub use machine::{Machine, MachineConfig, RunningWorkload};
 pub use perf::{PerfConfig, PerfSampler, Sample};
 pub use stream::{StreamConfig, StreamedWindow, WindowStream};
-pub use trace::{ExecutionTrace, TraceWindow};
 pub use workload::{WorkloadClass, WorkloadProfile};

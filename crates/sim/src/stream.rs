@@ -109,14 +109,6 @@ impl WindowStream {
         self.cfg.perf.events.iter().map(|e| e.name().to_owned()).collect()
     }
 
-    /// Changes the malware mix for subsequently launched applications —
-    /// how a serving scenario scripts phases (benign lull, attack
-    /// burst). Already-buffered windows are unaffected.
-    pub fn set_malware_fraction(&mut self, fraction: f64) {
-        assert!((0.0..=1.0).contains(&fraction), "malware_fraction must be in [0, 1]");
-        self.cfg.malware_fraction = fraction;
-    }
-
     /// Runs one more application instance and buffers its windows.
     fn refill(&mut self) {
         let malware = self.rng.random::<f64>() < self.cfg.malware_fraction;
@@ -175,21 +167,6 @@ mod tests {
         let mut all_malware = StreamConfig::quick(5);
         all_malware.malware_fraction = 1.0;
         assert!(WindowStream::new(all_malware).take(30).all(|w| w.is_malware()));
-    }
-
-    #[test]
-    fn fraction_can_change_mid_stream() {
-        let mut cfg = StreamConfig::quick(11);
-        cfg.malware_fraction = 0.0;
-        let mut s = WindowStream::new(cfg);
-        for _ in 0..10 {
-            assert!(!s.next().unwrap().is_malware());
-        }
-        s.set_malware_fraction(1.0);
-        // drain windows buffered under the old mix, then expect malware
-        let buffered = s.buffered.len();
-        let _: Vec<StreamedWindow> = s.by_ref().take(buffered).collect();
-        assert!(s.take(10).all(|w| w.is_malware()));
     }
 
     #[test]

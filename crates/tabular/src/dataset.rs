@@ -320,14 +320,6 @@ impl Dataset {
         counts
     }
 
-    /// Relabels every row, e.g. to mark predictor-flagged samples as
-    /// [`Class::Adversarial`] before merging (paper §2.3, defense module).
-    pub fn relabel_all(&mut self, label: Class) {
-        for l in &mut self.labels {
-            *l = label;
-        }
-    }
-
     /// Binary targets (`1.0` for rows where `positive` holds, else `0.0`).
     ///
     /// Detectors are binary: "attack vs. benign". After adversarial
@@ -516,13 +508,6 @@ mod tests {
     fn binary_targets_follow_predicate() {
         let d = sample();
         assert_eq!(d.binary_targets(Class::is_attack), vec![0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn relabel_all_rewrites_labels() {
-        let mut d = sample();
-        d.relabel_all(Class::Adversarial);
-        assert!(d.labels().iter().all(|&l| l == Class::Adversarial));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   feature names;
 //! * [`StandardScaler`] and [`MinMaxClipper`] — the standard-scaling and
 //!   clipping steps of the paper's pre-processing;
-//! * [`mi`] — mutual-information estimators and MI-based feature ranking
+//! * [`mi`] — a mutual-information estimator and MI-based feature ranking
 //!   (the paper selects the top-4 HPC events by MI);
 //! * [`split`] — stratified train/test splitting (80:20 in the paper);
 //! * [`stats`] — small statistics helpers (mean, variance, entropy,
@@ -42,7 +42,6 @@
 //! # }
 //! ```
 
-pub mod csv;
 pub mod dataset;
 pub mod mi;
 pub mod scaler;
@@ -51,7 +50,6 @@ pub mod stats;
 
 mod error;
 
-pub use csv::{read_csv, write_csv, CsvError};
 pub use dataset::{Class, Dataset};
 pub use error::TabularError;
 pub use mi::{mutual_information, rank_features_by_mi, select_top_features};

@@ -3,14 +3,8 @@
 //! The paper (§2.1) ranks the 30+ collected hardware events by the mutual
 //! information `I(X; Y) = H(X) + H(Y) − H(X, Y)` between each feature `X`
 //! and the class label `Y`, then keeps the top four (LLC-load-misses,
-//! LLC-loads, cache-misses, cpu/cache-misses). Two estimators are
-//! provided:
-//!
-//! * [`mutual_information`] — equal-width histogram estimator (fast, the
-//!   pipeline default);
-//! * [`mutual_information_knn`] — the Ross (2014) k-nearest-neighbour
-//!   estimator for continuous features and discrete labels, the estimator
-//!   behind scikit-learn's `mutual_info_classif` which the paper uses.
+//! LLC-loads, cache-misses, cpu/cache-misses). [`mutual_information`]
+//! estimates each term from an equal-width histogram of the feature.
 
 use hmd_util::par;
 
@@ -72,119 +66,6 @@ pub fn mutual_information(x: &[f64], labels: &[usize], bins: usize) -> Result<f6
     let hy = entropy_from_counts(&y_counts);
     let hxy = entropy_from_counts(&joint);
     Ok((hx + hy - hxy).max(0.0))
-}
-
-/// Digamma function ψ(x) for positive arguments, via the recurrence
-/// ψ(x) = ψ(x+1) − 1/x and the asymptotic expansion for large x.
-#[must_use]
-fn digamma(mut x: f64) -> f64 {
-    debug_assert!(x > 0.0);
-    let mut result = 0.0;
-    while x < 10.0 {
-        result -= 1.0 / x;
-        x += 1.0;
-    }
-    let inv = 1.0 / x;
-    let inv2 = inv * inv;
-    result + x.ln() - 0.5 * inv
-        - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 / 252.0))
-}
-
-/// Ross (2014) k-NN MI estimator (nats) for a continuous feature and
-/// discrete labels:
-///
-/// `I(X;Y) ≈ ψ(N) + ψ(k) − ⟨ψ(N_y)⟩ − ⟨ψ(m)⟩`
-///
-/// where `N_y` is the number of samples sharing sample *i*'s label and `m`
-/// counts samples of *any* label within *i*'s distance to its k-th
-/// same-label neighbour. Ties are broken by a deterministic half-open
-/// interval count; estimates are clamped at zero.
-///
-/// # Errors
-///
-/// Returns [`TabularError::InvalidArgument`] for `k == 0`, mismatched
-/// lengths, or when some class has ≤ `k` samples, and
-/// [`TabularError::EmptyDataset`] for empty input.
-pub fn mutual_information_knn(
-    x: &[f64],
-    labels: &[usize],
-    k: usize,
-) -> Result<f64, TabularError> {
-    if k == 0 {
-        return Err(TabularError::InvalidArgument("k must be positive"));
-    }
-    if x.len() != labels.len() {
-        return Err(TabularError::InvalidArgument("feature and label lengths differ"));
-    }
-    if x.is_empty() {
-        return Err(TabularError::EmptyDataset);
-    }
-    let n = x.len();
-    let n_classes = labels.iter().copied().max().unwrap_or(0) + 1;
-    let mut class_counts = vec![0usize; n_classes];
-    for &c in labels {
-        class_counts[c] += 1;
-    }
-    if class_counts.iter().any(|&c| c > 0 && c <= k) {
-        return Err(TabularError::InvalidArgument("every present class needs more than k samples"));
-    }
-
-    // Sort all points once; per-class sorted views for neighbour queries.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| x[a].total_cmp(&x[b]));
-    let sorted_x: Vec<f64> = order.iter().map(|&i| x[i]).collect();
-    let mut per_class: Vec<Vec<f64>> = vec![Vec::new(); n_classes];
-    for &i in &order {
-        per_class[labels[i]].push(x[i]);
-    }
-
-    let mut psi_m_sum = 0.0;
-    let mut psi_ny_sum = 0.0;
-    for i in 0..n {
-        let xi = x[i];
-        let same = &per_class[labels[i]];
-        // distance to the k-th nearest same-label neighbour (excluding self)
-        let pos = same.partition_point(|&v| v < xi);
-        let mut lo = pos;
-        let mut hi = pos; // scan outward collecting k+1 closest incl. self
-        let mut taken = 0usize;
-        let mut radius = 0.0f64;
-        while taken < k + 1 {
-            let left = lo.checked_sub(1).map(|j| (xi - same[j]).abs());
-            let right = if hi < same.len() { Some((same[hi] - xi).abs()) } else { None };
-            match (left, right) {
-                (Some(l), Some(r)) if l <= r => {
-                    radius = l;
-                    lo -= 1;
-                }
-                (Some(_), Some(r)) => {
-                    radius = r;
-                    hi += 1;
-                }
-                (Some(l), None) => {
-                    radius = l;
-                    lo -= 1;
-                }
-                (None, Some(r)) => {
-                    radius = r;
-                    hi += 1;
-                }
-                (None, None) => break,
-            }
-            taken += 1;
-        }
-        // m = number of points (any label) strictly within radius, plus
-        // boundary points on one side (deterministic half-open rule).
-        let lo_all = sorted_x.partition_point(|&v| v < xi - radius);
-        let hi_all = sorted_x.partition_point(|&v| v <= xi + radius);
-        let m = (hi_all - lo_all).saturating_sub(1).max(1); // exclude self
-        psi_m_sum += digamma(m as f64);
-        psi_ny_sum += digamma(class_counts[labels[i]] as f64);
-    }
-    let mi = digamma(n as f64) + digamma(k as f64)
-        - psi_ny_sum / n as f64
-        - psi_m_sum / n as f64;
-    Ok(mi.max(0.0))
 }
 
 /// Ranks every feature of `data` by histogram MI with the class label,
@@ -263,16 +144,6 @@ mod tests {
     use hmd_util::rng::prelude::*;
 
     #[test]
-    fn digamma_matches_known_values() {
-        // ψ(1) = -γ
-        assert!((digamma(1.0) + 0.577_215_664_901_532_9).abs() < 1e-10);
-        // ψ(2) = 1 - γ
-        assert!((digamma(2.0) - (1.0 - 0.577_215_664_901_532_9)).abs() < 1e-10);
-        // ψ(10) ≈ 2.251752589066721
-        assert!((digamma(10.0) - 2.251_752_589_066_721).abs() < 1e-9);
-    }
-
-    #[test]
     fn mi_independent_is_near_zero() {
         let mut rng = StdRng::seed_from_u64(11);
         let x: Vec<f64> = (0..4000).map(|_| rng.random::<f64>()).collect();
@@ -301,37 +172,6 @@ mod tests {
         assert!(mutual_information(&[1.0], &[0], 0).is_err());
         assert!(mutual_information(&[1.0], &[0, 1], 4).is_err());
         assert!(mutual_information(&[], &[], 4).is_err());
-    }
-
-    #[test]
-    fn knn_mi_detects_dependence() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 600;
-        let mut x = Vec::with_capacity(n);
-        let mut y = Vec::with_capacity(n);
-        for i in 0..n {
-            let c = i % 2;
-            y.push(c);
-            x.push(c as f64 * 3.0 + rng.random::<f64>());
-        }
-        let mi = mutual_information_knn(&x, &y, 3).unwrap();
-        assert!(mi > 0.5, "knn MI on separable data was {mi}");
-    }
-
-    #[test]
-    fn knn_mi_independent_near_zero() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let n = 800;
-        let x: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
-        let y: Vec<usize> = (0..n).map(|_| rng.random_range(0..2)).collect();
-        let mi = mutual_information_knn(&x, &y, 3).unwrap();
-        assert!(mi < 0.08, "independent knn MI was {mi}");
-    }
-
-    #[test]
-    fn knn_mi_validates() {
-        assert!(mutual_information_knn(&[1.0, 2.0], &[0, 1], 0).is_err());
-        assert!(mutual_information_knn(&[1.0, 2.0], &[0, 1], 1).is_err()); // class size ≤ k
     }
 
     #[test]

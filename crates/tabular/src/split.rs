@@ -70,56 +70,6 @@ pub fn stratified_split<R: Rng + ?Sized>(
     Ok((data.subset(&train_idx)?, data.subset(&test_idx)?))
 }
 
-/// Splits `data` into `folds` stratified folds for cross-validation,
-/// returning per-fold `(train, test)` pairs.
-///
-/// # Errors
-///
-/// * [`TabularError::InvalidArgument`] for fewer than two folds;
-/// * [`TabularError::EmptyDataset`] for empty input;
-/// * [`TabularError::DegenerateSplit`] if a class has fewer samples than
-///   folds.
-pub fn stratified_k_fold<R: Rng + ?Sized>(
-    data: &Dataset,
-    folds: usize,
-    rng: &mut R,
-) -> Result<Vec<(Dataset, Dataset)>, TabularError> {
-    if folds < 2 {
-        return Err(TabularError::InvalidArgument("need at least two folds"));
-    }
-    if data.is_empty() {
-        return Err(TabularError::EmptyDataset);
-    }
-    let mut fold_members: Vec<Vec<usize>> = vec![Vec::new(); folds];
-    for class in Class::ALL {
-        let mut members: Vec<usize> = (0..data.len())
-            .filter(|&i| data.labels()[i] == class)
-            .collect();
-        if members.is_empty() {
-            continue;
-        }
-        if members.len() < folds {
-            return Err(TabularError::DegenerateSplit);
-        }
-        members.shuffle(rng);
-        for (i, idx) in members.into_iter().enumerate() {
-            fold_members[i % folds].push(idx);
-        }
-    }
-    let mut out = Vec::with_capacity(folds);
-    for test_fold in 0..folds {
-        let test = data.subset(&fold_members[test_fold])?;
-        let train_idx: Vec<usize> = fold_members
-            .iter()
-            .enumerate()
-            .filter(|&(f, _)| f != test_fold)
-            .flat_map(|(_, v)| v.iter().copied())
-            .collect();
-        out.push((data.subset(&train_idx)?, test));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,27 +130,5 @@ mod tests {
             stratified_split(&d, 0.2, &mut rng).unwrap_err(),
             TabularError::DegenerateSplit
         );
-    }
-
-    #[test]
-    fn k_fold_covers_everything_once() {
-        let d = data(20);
-        let mut rng = StdRng::seed_from_u64(4);
-        let folds = stratified_k_fold(&d, 4, &mut rng).unwrap();
-        assert_eq!(folds.len(), 4);
-        let total_test: usize = folds.iter().map(|(_, t)| t.len()).sum();
-        assert_eq!(total_test, d.len());
-        for (train, test) in &folds {
-            assert_eq!(train.len() + test.len(), d.len());
-        }
-    }
-
-    #[test]
-    fn k_fold_validates_args() {
-        let d = data(20);
-        let mut rng = StdRng::seed_from_u64(4);
-        assert!(stratified_k_fold(&d, 1, &mut rng).is_err());
-        let tiny = data(2);
-        assert!(stratified_k_fold(&tiny, 4, &mut rng).is_err());
     }
 }

@@ -87,10 +87,11 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset on malformed input or
-    /// trailing garbage.
+    /// Returns [`JsonError`] with a byte offset on malformed input,
+    /// trailing garbage, or arrays and objects nested more than
+    /// [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -308,9 +309,17 @@ impl fmt::Display for Json {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// How deeply arrays and objects may nest in a parsed document. The
+/// parser recurses once per level, so the cap keeps hostile input (a
+/// file of `[`) from overflowing the stack; every document the
+/// repository writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -352,8 +361,18 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::at(
+                        format!("nesting deeper than {MAX_DEPTH} levels"),
+                        self.pos,
+                    ));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => {
                 Err(JsonError::at(format!("unexpected character '{}'", other as char), self.pos))
@@ -995,6 +1014,14 @@ mod tests {
         assert!(Json::parse("{\"a\":}").is_err());
         assert!(Json::parse("01x").is_err());
         assert!(Json::parse("[] trailing").is_err());
+        // nesting past MAX_DEPTH fails at the first level too deep
+        // instead of overflowing the stack
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains(&format!("(at byte {MAX_DEPTH})")), "{err}");
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

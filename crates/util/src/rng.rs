@@ -186,17 +186,6 @@ impl StdRng {
         Self { s: [mix.next_u64(), mix.next_u64(), mix.next_u64(), mix.next_u64()] }
     }
 
-    /// A generator from raw xoshiro state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the all-zero state (the one fixed point of the
-    /// transition function).
-    #[must_use]
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro256++ state must be non-zero");
-        Self { s }
-    }
 
     /// The raw xoshiro state (for checkpointing).
     #[must_use]
@@ -852,11 +841,5 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn uniform_below_rejects_zero() {
         let _ = UniformBelow::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_state_rejected() {
-        let _ = StdRng::from_state([0; 4]);
     }
 }

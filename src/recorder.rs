@@ -578,6 +578,14 @@ fn config_to_json(cfg: &ServingConfig, shards: usize) -> Json {
     ])
 }
 
+/// Ceiling on a bundle's `shards`: `replay` re-runs a fleet of that many
+/// shards, one session and one thread each. The repository's fleets run
+/// two shards, or one per core.
+pub const MAX_SHARDS: usize = 256;
+/// Ceiling on a bundle's `window_slots`: every windowed aggregate
+/// allocates one bucket set per slot. Sessions serve with 8.
+pub const MAX_WINDOW_SLOTS: usize = 1024;
+
 /// Inverse of [`config_to_json`]. Keys it does not read are ignored —
 /// among them `arena` and `monitoring`, which bundles captured while the
 /// serving config still had those switches carry. The result must pass
@@ -601,7 +609,7 @@ fn config_from_json(j: &Json) -> Result<(ServingConfig, usize), JsonError> {
     let slots: usize = field(j, "window_slots")?;
     let slot_ns: u64 = field(j, "window_slot_ns")?;
     // WindowConfig::new asserts its shape; a bundle is untrusted input
-    if slots < 2 || slot_ns == 0 {
+    if !(2..=MAX_WINDOW_SLOTS).contains(&slots) || slot_ns == 0 {
         return Err(JsonError::new(format!("invalid window shape: {slots} slots of {slot_ns} ns")));
     }
     cfg.window = hmd_obs::WindowConfig::new(slots, slot_ns);
@@ -615,6 +623,9 @@ fn config_from_json(j: &Json) -> Result<(ServingConfig, usize), JsonError> {
     cfg.recorder = field(j, "recorder")?;
     cfg.check().map_err(|e| JsonError::new(e.to_string()))?;
     let shards: usize = field(j, "shards")?;
+    if shards > MAX_SHARDS {
+        return Err(JsonError::new(format!("{shards} shards exceeds MAX_SHARDS ({MAX_SHARDS})")));
+    }
     Ok((cfg, shards))
 }
 

@@ -195,6 +195,18 @@ pub struct ServingConfig {
     pub retain_generations: bool,
 }
 
+/// Ceilings on the sizes a session allocates from its configuration:
+/// the batch buffers, the replay ring and the flight-recorder ring.
+/// An incident bundle is untrusted input, and without a ceiling a size
+/// field in one makes `replay` abort on a failed allocation. Each sits
+/// far above any size the repository serves at (batch 64, a
+/// 4,096-sample replay ring, a 250-window recorder).
+pub const MAX_BATCH: usize = 4096;
+/// See [`MAX_BATCH`].
+pub const MAX_REPLAY: usize = 1 << 20;
+/// See [`MAX_BATCH`].
+pub const MAX_RECORDER: usize = 1 << 16;
+
 /// The stream seed of shard `i` in a fleet: shard 0 keeps the base seed
 /// (a one-shard fleet is exactly a [`ServingSession`]), later shards
 /// decorrelate via a golden-ratio multiply.
@@ -240,10 +252,12 @@ impl ServingConfig {
     }
 
     /// Rejects a configuration no session can serve: a traffic
-    /// fraction outside `[0, 1]`, an empty flight recorder, or a sample
-    /// budget whose stream clock (`samples × tick_ns`) overflows `u64`.
-    /// Session assembly and [`IncidentBundle::parse`] (a bundle is
-    /// untrusted input) both run it.
+    /// fraction outside `[0, 1]`, an empty flight recorder, a batch,
+    /// replay ring or recorder above its ceiling ([`MAX_BATCH`],
+    /// [`MAX_REPLAY`], [`MAX_RECORDER`]), or a sample budget whose
+    /// stream clock (`samples × tick_ns`) overflows `u64`. Session
+    /// assembly and [`IncidentBundle::parse`] (a bundle is untrusted
+    /// input) both run it.
     pub(crate) fn check(&self) -> Result<(), CoreError> {
         let unit = |p: f64| (0.0..=1.0).contains(&p);
         if !unit(self.malware_fraction) {
@@ -254,6 +268,15 @@ impl ServingConfig {
         }
         if self.recorder == 0 {
             return Err(CoreError::Invalid("the flight recorder must hold at least one window"));
+        }
+        if self.batch > MAX_BATCH {
+            return Err(CoreError::Invalid("batch exceeds MAX_BATCH"));
+        }
+        if self.replay > MAX_REPLAY {
+            return Err(CoreError::Invalid("replay exceeds MAX_REPLAY"));
+        }
+        if self.recorder > MAX_RECORDER {
+            return Err(CoreError::Invalid("recorder exceeds MAX_RECORDER"));
         }
         let clock_end = u64::try_from(self.samples).ok().and_then(|s| s.checked_mul(self.tick_ns));
         if clock_end.is_none() {
@@ -570,12 +593,6 @@ impl ModelHub {
     #[must_use]
     pub fn retrain_every(&self) -> usize {
         self.retrain_every
-    }
-
-    /// How many retraining rounds the sample budget schedules.
-    #[must_use]
-    pub fn scheduled_rounds(&self) -> usize {
-        self.rounds
     }
 
     fn register_shard(&self) {
@@ -1689,12 +1706,6 @@ impl FleetSession {
     #[must_use]
     pub fn quit_requested(&self) -> bool {
         self.shards.iter().any(ServingSession::quit_requested)
-    }
-
-    /// The bound HTTP address, when serving.
-    #[must_use]
-    pub fn http_addr(&self) -> Option<std::net::SocketAddr> {
-        self.http.as_ref().map(HttpServer::addr)
     }
 
     /// The shared trained artifacts (generation 0; under retraining the

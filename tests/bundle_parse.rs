@@ -100,11 +100,26 @@ fn a_bad_window_shape_is_an_error() {
         ("\"malware_fraction\":0.3,", "\"malware_fraction\":-0.1,"),
         ("\"adv_fraction\":0.02,", "\"adv_fraction\":1.5,"),
         ("\"adv_fraction\":1.0}", "\"adv_fraction\":-0.5}"),
+        // sizes a session allocates from: each is capped far above any
+        // served configuration, not left to a failed 2^62-byte allocation
+        ("\"batch\":16,", "\"batch\":4611686018427387904,"),
+        ("\"replay\":0,", "\"replay\":4611686018427387904,"),
+        ("\"recorder\":64,", "\"recorder\":4611686018427387904,"),
+        ("\"shards\":2", "\"shards\":4611686018427387904"),
+        ("\"window_slots\":8,", "\"window_slots\":4611686018427387904,"),
     ] {
         assert!(V3.contains(from), "fixture lacks {from}");
         let text = V3.replace(from, to);
         assert!(parse_no_panic(&text, to).is_none(), "{to} parsed");
     }
+}
+
+#[test]
+fn deep_nesting_is_an_error() {
+    // the parser recurses per level: without a depth cap this
+    // overflows the stack instead of returning
+    let deep = "[".repeat(200_000);
+    assert!(parse_no_panic(&deep, "200,000 nested arrays").is_none());
 }
 
 /// Byte length of the v3 fixture, the mutation position range.

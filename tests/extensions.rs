@@ -1,29 +1,15 @@
 //! Integration coverage for the extension components: alternative
-//! defenses, the boundary attack, CSV persistence, and execution traces.
+//! defenses, the boundary attack, and per-family machine behaviour.
 
 use hmd::adversarial::{
     Attack, BoundaryAttack, BoundaryAttackConfig, LowProFool, RandomizedEnsemble,
 };
 use hmd::core::{Framework, FrameworkConfig};
 use hmd::ml::{classical_models, evaluate, Classifier, RandomForest};
-use hmd::sim::{ExecutionTrace, HpcEvent, MachineConfig, WorkloadClass};
-use hmd::tabular::{read_csv, write_csv, Class};
-
-#[test]
-fn corpus_survives_csv_roundtrip() {
-    let fw = Framework::new(FrameworkConfig::quick(51));
-    let bundle = fw.prepare_data().expect("prepare");
-    let mut buf = Vec::new();
-    write_csv(&bundle.train, &mut buf).expect("write");
-    let restored = read_csv(buf.as_slice()).expect("read");
-    assert_eq!(restored.len(), bundle.train.len());
-    assert_eq!(restored.feature_names(), bundle.train.feature_names());
-    // numeric fidelity: rows match to full precision
-    for i in 0..restored.len() {
-        assert_eq!(restored.row(i).unwrap(), bundle.train.row(i).unwrap());
-        assert_eq!(restored.label(i).unwrap(), bundle.train.label(i).unwrap());
-    }
-}
+use hmd::sim::{
+    HpcEvent, Machine, MachineConfig, RunningWorkload, WorkloadClass, WorkloadProfile,
+};
+use hmd::tabular::Class;
 
 #[test]
 fn randomized_ensemble_softens_but_does_not_stop_lowprofool() {
@@ -78,19 +64,31 @@ fn boundary_attack_works_on_the_simulated_corpus() {
     );
 }
 
+/// Runs `windows` 10 ms windows of `class` on a fresh machine and returns
+/// the mean `LlcLoadMisses` per window and the distinct phases seen.
+fn run_family(class: WorkloadClass, cfg: MachineConfig, windows: usize) -> (f64, Vec<&'static str>) {
+    let mut machine = Machine::new(cfg);
+    let mut running = RunningWorkload::new(WorkloadProfile::canonical(class), 7);
+    let mut misses = 0u64;
+    let mut phases = Vec::new();
+    for _ in 0..windows {
+        misses += machine.run_window(&mut running, 10.0).get(HpcEvent::LlcLoadMisses);
+        let phase = running.current_phase().name;
+        if !phases.contains(&phase) {
+            phases.push(phase);
+        }
+    }
+    (misses as f64 / windows as f64, phases)
+}
+
 #[test]
 fn execution_traces_reflect_family_behaviour() {
     let cfg = MachineConfig { slice_instructions: 4_000, ..MachineConfig::default() };
-    let ransomware = ExecutionTrace::record(WorkloadClass::Ransomware, cfg, 120, 10.0, 7);
-    let editor = ExecutionTrace::record(WorkloadClass::TextEditor, cfg, 120, 10.0, 7);
-    assert!(
-        ransomware.mean(HpcEvent::LlcLoadMisses) > 3.0 * editor.mean(HpcEvent::LlcLoadMisses),
-        "ransomware {} vs editor {}",
-        ransomware.mean(HpcEvent::LlcLoadMisses),
-        editor.mean(HpcEvent::LlcLoadMisses)
-    );
-    // the trace walks through the family's phases
-    assert!(ransomware.phases_observed().len() >= 2);
+    let (ransomware, ransomware_phases) = run_family(WorkloadClass::Ransomware, cfg, 120);
+    let (editor, _) = run_family(WorkloadClass::TextEditor, cfg, 120);
+    assert!(ransomware > 3.0 * editor, "ransomware {ransomware} vs editor {editor}");
+    // the run walks through the family's phases
+    assert!(ransomware_phases.len() >= 2);
 }
 
 #[test]
