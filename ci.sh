@@ -114,15 +114,23 @@ grep -Eq '^REPLAY_SCORES [1-9]' "$TRACE_DIR/replay.out" \
 
 echo "== replay hostile-input gate =="
 # A bundle is untrusted input: replay must answer a malformed one with
-# exit status 2, never a crash. Two files: 200,000 nested '[' (past the
-# JSON parser's nesting cap), and the captured incident with a batch
-# size no session could allocate (past ServingConfig's MAX_BATCH).
+# exit status 2, never a crash or a run without end. Three files:
+# 200,000 nested '[' (past the JSON parser's nesting cap), the captured
+# incident with a batch size no session could allocate (past
+# ServingConfig's MAX_BATCH), and the captured incident pinned to
+# generation 1 with a ~2^64-window calibration budget (past
+# MAX_CALIBRATION; the fleet re-run would calibrate for ever).
 head -c 200000 /dev/zero | tr '\0' '[' > "$TRACE_DIR/deep.json"
 sed -E 's/"batch":[0-9]+/"batch":4611686018427387904/' "$TRACE_DIR/incident.json" \
     > "$TRACE_DIR/huge-batch.json"
 grep -q '"batch":4611686018427387904' "$TRACE_DIR/huge-batch.json" \
     || { echo "ERROR: the captured incident has no batch field" >&2; exit 1; }
-for hostile in deep.json huge-batch.json; do
+sed -E -e 's/"generation":[0-9]+/"generation":1/g' \
+    -e 's/"calibration_samples":[0-9]+/"calibration_samples":18446744073709551000/' \
+    "$TRACE_DIR/incident.json" > "$TRACE_DIR/huge-calibration.json"
+grep -q '"calibration_samples":18446744073709551000' "$TRACE_DIR/huge-calibration.json" \
+    || { echo "ERROR: the captured incident has no calibration_samples field" >&2; exit 1; }
+for hostile in deep.json huge-batch.json huge-calibration.json; do
     status=0
     ./target/release/replay "$TRACE_DIR/$hostile" > /dev/null 2> "$TRACE_DIR/hostile.err" \
         || status=$?

@@ -3,7 +3,8 @@
 //! SHA-256 hashing, tensor/NN primitives, and the parallel substrate
 //! (`hmd_util::par`) before/after pairs — naive vs blocked matmul, and
 //! 1-thread vs all-thread forest fitting, corpus generation, and batch
-//! prediction. The binary runs under a counting global allocator so it
+//! prediction — and the routed GBDT's batch and one-row predict
+//! paths. The binary runs under a counting global allocator so it
 //! can also report `serve/steady_state_allocs_per_window` — the
 //! allocation-freedom pin for the arena-backed serving hot path. Emits
 //! `BENCH_substrates.json`.
@@ -252,6 +253,40 @@ fn bench_serving(h: &mut Harness) {
     }
 }
 
+fn bench_gbdt(h: &mut Harness) {
+    // The routed model itself: the histogram GBDT of the zoo that
+    // `ServingConfig::quick(41)` deploys (hmdbench serves the same
+    // one), scoring rows of the merged training database it was fitted
+    // on, in the served feature space. Successive iterations take
+    // successive rows, cycling: a few rows scored over and over would
+    // let the branch predictor learn every path through every tree,
+    // which no serving stream allows.
+    let trainer = hmd::ServingSession::start(hmd::ServingConfig::quick(41)).expect("train");
+    let artifacts = trainer.artifacts_handle();
+    drop(trainer);
+    let model = artifacts
+        .detector
+        .models()
+        .iter()
+        .find(|m| m.name() == "LightGBM")
+        .expect("the zoo holds the GBDT");
+    let rows = &artifacts.training;
+    let width = rows.n_features();
+    let flat: Vec<f64> = (0..rows.len()).flat_map(|i| rows.row(i).unwrap().to_vec()).collect();
+    let mut scratch = model.make_scratch(32);
+    let mut out = Vec::with_capacity(32);
+    let mut batches = flat.chunks_exact(32 * width).cycle();
+    h.bench_with_throughput("ml/gbdt_predict_batch32", Throughput::Elements(32), || {
+        let batch = batches.next().unwrap();
+        model.predict_proba_into(black_box(batch), width, &mut scratch, &mut out).unwrap();
+        black_box(out[0])
+    });
+    let mut rows = flat.chunks_exact(width).cycle();
+    h.bench("ml/gbdt_predict_row", || {
+        black_box(model.predict_proba_row(black_box(rows.next().unwrap())).unwrap())
+    });
+}
+
 fn bench_corpus(h: &mut Harness) {
     // `CorpusConfig::threads` feeds the substrate directly, so the
     // 1-vs-all pair comes from the config rather than the override.
@@ -274,6 +309,10 @@ fn main() {
     bench_telemetry(&mut h);
     bench_obs(&mut h);
     bench_serving(&mut h);
+    // after bench_serving, whose training pass already runs before
+    // bench_corpus: the GBDT's own training pass moves no other
+    // record's starting heap
+    bench_gbdt(&mut h);
     bench_corpus(&mut h);
     h.finish();
 }

@@ -122,10 +122,12 @@ pub trait Classifier: Send + Sync + std::fmt::Debug {
     ///
     /// The contract is **byte-identical equivalence**: the result must
     /// equal calling [`Self::predict_proba_row`] on each row in order.
-    /// The default implementation does exactly that; NN-backed models
+    /// The default implementation does exactly that. NN-backed models
     /// override it to push the whole batch through one blocked matmul —
     /// per-element accumulation order is row-count-invariant, so the
-    /// equivalence holds bitwise.
+    /// equivalence holds bitwise. [`crate::Gbdt`] overrides it to walk
+    /// each tree with eight rows in lockstep; every row still sums its
+    /// trees in order, so that equivalence is bitwise too.
     ///
     /// # Errors
     ///

@@ -30,7 +30,10 @@
 //! [`retain_generations`](hmd::ServingConfig::retain_generations) so
 //! the hub retains every published generation — the retraining
 //! schedule is a pure function of the seed, so the re-run reproduces
-//! the original promoted models bit-for-bit.
+//! the original promoted models bit-for-bit. The re-run stops once the
+//! newest pinned generation has served a window
+//! ([`samples_to_serve_generation`](hmd::ServingConfig::samples_to_serve_generation)),
+//! however large the bundle's sample budget.
 
 use std::sync::Arc;
 
@@ -121,33 +124,40 @@ fn main() {
     // rebuild the serving universe at the recorded seed. Generation 0
     // falls out of the training pipeline directly; later generations
     // need the recorded fleet re-run with history retention so the hub
-    // can hand back the exact promoted artifacts.
-    let needs_fleet = bundle.windows.iter().any(|w| w.generation > 0);
+    // can hand back the exact promoted artifacts. The re-run stops as
+    // soon as the newest pinned generation has served a window, not at
+    // the bundle's (untrusted) sample budget.
+    let mut generations: Vec<u64> = bundle.windows.iter().map(|w| w.generation).collect();
+    generations.sort_unstable();
+    generations.dedup();
+    let newest = generations.last().copied().unwrap_or(0);
     let mut cfg = bundle.config.clone();
+    let rerun = (newest > 0).then(|| {
+        cfg.samples_to_serve_generation(newest).unwrap_or_else(|| {
+            fail(&format!("generation {newest} is never published by the bundle's schedule"))
+        })
+    });
     eprintln!(
         "replay: rebuilding artifacts (seed {}, {})...",
         cfg.base_seed,
-        if needs_fleet {
-            format!("re-running {}-shard fleet for generation history", bundle.shards)
-        } else {
-            "generation 0, training pipeline only".to_owned()
+        match rerun {
+            Some(samples) => format!(
+                "re-running {}-shard fleet for {samples} samples per shard",
+                bundle.shards
+            ),
+            None => "generation 0, training pipeline only".to_owned(),
         }
     );
-    let fleet = if needs_fleet {
+    let fleet = rerun.map(|samples| {
         cfg.retain_generations = true;
         let mut fleet = FleetSession::start(&cfg, bundle.shards)
             .unwrap_or_else(|e| fail(&format!("fleet rebuild failed: {e}")));
         fleet
-            .run()
+            .run_for(samples)
             .unwrap_or_else(|e| fail(&format!("fleet re-run failed: {e}")));
-        Some(fleet)
-    } else {
-        None
-    };
+        fleet
+    });
     // one artifacts handle per distinct generation in the bundle
-    let mut generations: Vec<u64> = bundle.windows.iter().map(|w| w.generation).collect();
-    generations.sort_unstable();
-    generations.dedup();
     let pinned: Vec<(u64, Arc<ServingArtifacts>)> = generations
         .iter()
         .map(|&g| {

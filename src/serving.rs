@@ -206,6 +206,12 @@ pub const MAX_BATCH: usize = 4096;
 pub const MAX_REPLAY: usize = 1 << 20;
 /// See [`MAX_BATCH`].
 pub const MAX_RECORDER: usize = 1 << 16;
+/// Ceiling on [`ServingConfig::calibration_samples`]: calibration
+/// classifies that many windows before serving starts (and again at
+/// every retraining round), so a bundle with a near-`usize::MAX`
+/// budget would keep `replay` calibrating for ever. The repository
+/// calibrates on 200.
+pub const MAX_CALIBRATION: usize = 1 << 16;
 
 /// The stream seed of shard `i` in a fleet: shard 0 keeps the base seed
 /// (a one-shard fleet is exactly a [`ServingSession`]), later shards
@@ -253,8 +259,9 @@ impl ServingConfig {
 
     /// Rejects a configuration no session can serve: a traffic
     /// fraction outside `[0, 1]`, an empty flight recorder, a batch,
-    /// replay ring or recorder above its ceiling ([`MAX_BATCH`],
-    /// [`MAX_REPLAY`], [`MAX_RECORDER`]), or a sample budget whose
+    /// replay ring, recorder or calibration budget above its ceiling
+    /// ([`MAX_BATCH`], [`MAX_REPLAY`], [`MAX_RECORDER`],
+    /// [`MAX_CALIBRATION`]), or a sample budget whose
     /// stream clock (`samples × tick_ns`) overflows `u64`. Session
     /// assembly and [`IncidentBundle::parse`] (a bundle is untrusted
     /// input) both run it.
@@ -278,11 +285,36 @@ impl ServingConfig {
         if self.recorder > MAX_RECORDER {
             return Err(CoreError::Invalid("recorder exceeds MAX_RECORDER"));
         }
+        if self.calibration_samples > MAX_CALIBRATION {
+            return Err(CoreError::Invalid("calibration_samples exceeds MAX_CALIBRATION"));
+        }
         let clock_end = u64::try_from(self.samples).ok().and_then(|s| s.checked_mul(self.tick_ns));
         if clock_end.is_none() {
             return Err(CoreError::Invalid("samples × tick_ns overflows the stream clock"));
         }
         Ok(())
+    }
+
+    /// Retraining rounds the sample budget schedules per shard:
+    /// `⌈samples/every⌉ - 1`, since there is no boundary at the final
+    /// sample. Zero without retraining.
+    fn retrain_rounds(&self) -> usize {
+        self.samples.saturating_sub(1).checked_div(self.retrain_every).unwrap_or(0)
+    }
+
+    /// Samples each shard of a fleet must classify before generation
+    /// `g` has served a window. Sample `k` is served by generation
+    /// `⌊k/E⌋` (see [`ModelHub`]), so that is `g × E + 1`. `None` when
+    /// the schedule never publishes `g`: no retraining, or `g` past the
+    /// budget's last boundary. Forensic replay re-runs a recorded fleet
+    /// this far, not through a budget an incident bundle may inflate.
+    #[must_use]
+    pub fn samples_to_serve_generation(&self, g: u64) -> Option<usize> {
+        let g = usize::try_from(g).ok()?;
+        if g > self.retrain_rounds() {
+            return None;
+        }
+        g.checked_mul(self.retrain_every)?.checked_add(1)
     }
 }
 
@@ -483,8 +515,8 @@ pub struct ModelHub {
     history: Mutex<Vec<Arc<ServingArtifacts>>>,
     retain_generations: bool,
     retrain_every: usize,
-    /// Rounds the sample budget schedules: `⌈samples/every⌉ - 1` —
-    /// there is no boundary at the final sample.
+    /// Rounds the sample budget schedules
+    /// ([`ServingConfig::retrain_rounds`]).
     rounds: usize,
     /// Template for per-generation recalibration (stream seed is
     /// re-derived per generation).
@@ -499,7 +531,7 @@ impl ModelHub {
         artifacts: &Arc<ServingArtifacts>,
         feature_idx: &[usize],
     ) -> Result<Arc<Self>, CoreError> {
-        let rounds = cfg.samples.saturating_sub(1) / cfg.retrain_every;
+        let rounds = cfg.retrain_rounds();
         let registry = ModelRegistry::new();
         register_generation(&registry, artifacts, 0)?;
         Ok(Arc::new(Self {
@@ -1630,6 +1662,18 @@ impl FleetSession {
     ///
     /// Propagates the first shard's detector failure.
     pub fn run(&mut self) -> Result<Vec<ServingOutcome>, CoreError> {
+        self.run_for(usize::MAX)
+    }
+
+    /// [`run`](Self::run), with each shard stopping once it has
+    /// classified `samples` windows (or sooner, at its budget or on
+    /// `/quit`). Verdicts do not depend on where a run stops: a shard's
+    /// first `samples` windows are those of a full run.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first shard's detector failure.
+    pub fn run_for(&mut self, samples: usize) -> Result<Vec<ServingOutcome>, CoreError> {
         let results: Vec<Result<ServingOutcome, CoreError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
@@ -1637,7 +1681,12 @@ impl FleetSession {
                 .map(|sess| {
                     scope.spawn(move || {
                         let run = (|| -> Result<(), CoreError> {
-                            while !sess.quit_requested() && sess.step_batch()? > 0 {}
+                            while !sess.quit_requested() && sess.processed < samples {
+                                let max = sess.cfg.batch.max(1).min(samples - sess.processed);
+                                if sess.step_up_to(max)? == 0 {
+                                    break;
+                                }
+                            }
                             Ok(())
                         })();
                         // retire whether the loop completed, quit, or

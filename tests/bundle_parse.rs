@@ -115,6 +115,37 @@ fn a_bad_window_shape_is_an_error() {
 }
 
 #[test]
+fn a_hostile_replay_budget_is_an_error_or_bounded() {
+    // pinned to generation 1, the capture makes `replay` re-run the
+    // recorded fleet: a budget in the bundle must not keep it running
+    let g1 = V3.replace("\"generation\":0", "\"generation\":1");
+    // a calibration pass of ~2^64 windows never ends
+    let from = "\"calibration_samples\":200,";
+    assert!(g1.contains(from), "fixture lacks {from}");
+    let text = g1.replace(from, "\"calibration_samples\":18446744073709551000,");
+    let err = IncidentBundle::parse(&text).expect_err("a ~2^64-window calibration parsed");
+    assert!(err.to_string().contains("MAX_CALIBRATION"), "{err}");
+    // a billion-sample budget is a valid stream, but the re-run stops
+    // once generation 1 has served a window: sample 1 × 200 of each
+    // shard is its first
+    let from = "\"samples\":600,";
+    assert!(g1.contains(from), "fixture lacks {from}");
+    let huge = IncidentBundle::parse(&g1.replace(from, "\"samples\":1000000000,"))
+        .expect("a billion-sample budget parses");
+    assert_eq!(huge.config.samples_to_serve_generation(1), Some(201));
+    // 600 samples at retrain_every 200 publish generations 1 and 2
+    // (there is no boundary at the final sample); no bundle can pin a
+    // later one, or any past 0 without retraining
+    let cfg = IncidentBundle::parse(&g1).expect("the fixture parses").config;
+    let served: Vec<_> = (0..4).map(|g| cfg.samples_to_serve_generation(g)).collect();
+    assert_eq!(served, [Some(1), Some(201), Some(401), None]);
+    assert_eq!(cfg.samples_to_serve_generation(u64::MAX), None);
+    let mut no_retraining = cfg;
+    no_retraining.retrain_every = 0;
+    assert_eq!(no_retraining.samples_to_serve_generation(1), None);
+}
+
+#[test]
 fn deep_nesting_is_an_error() {
     // the parser recurses per level: without a depth cap this
     // overflows the stack instead of returning

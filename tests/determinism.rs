@@ -350,6 +350,43 @@ fn fleet_retraining_rerun_is_byte_identical() {
     }
 }
 
+/// Forensic replay re-runs a recorded fleet only until the newest
+/// generation a bundle pins has served a window
+/// (`ServingConfig::samples_to_serve_generation`). Stopped there, the
+/// hub must retain the very generations a full run publishes: the same
+/// training database, and the same explanation of every test row.
+#[test]
+fn fleet_stopped_at_a_generation_retains_the_full_run_models() {
+    let mut cfg = hmd::ServingConfig::quick(29);
+    cfg.samples = 160;
+    let trainer = hmd::ServingSession::start(cfg.clone()).expect("train");
+    let artifacts = trainer.artifacts_handle();
+    drop(trainer);
+    cfg.retrain_every = 60; // boundaries at 60 (mid-burst) and 120
+    cfg.retain_generations = true;
+    let stop = cfg.samples_to_serve_generation(2).expect("160 samples publish generation 2");
+    assert_eq!(stop, 121);
+
+    let mut full = hmd::FleetSession::with_artifacts(&cfg, 2, artifacts.clone()).expect("fleet");
+    full.run().expect("full run");
+    let mut stopped = hmd::FleetSession::with_artifacts(&cfg, 2, artifacts).expect("fleet");
+    let outcomes = stopped.run_for(stop).expect("stopped run");
+    assert!(outcomes.iter().all(|o| o.processed == stop && o.generation == 2));
+    let (full, stopped) = (full.hub().expect("hub"), stopped.hub().expect("hub"));
+    for g in 0..=2 {
+        let a = full.artifacts_at(g).expect("the full run retains every generation");
+        let b = stopped.artifacts_at(g).expect("the stopped run retains every generation");
+        assert_eq!(a.training, b.training, "generation {g} trained on different rows");
+        for row in a.bundle.test.iter().map(|(row, _)| row) {
+            assert_eq!(
+                a.detector.classify_explain(row).expect("explain"),
+                b.detector.classify_explain(row).expect("explain"),
+                "generation {g}"
+            );
+        }
+    }
+}
+
 /// Incident bundles are part of the determinism contract: on the same
 /// seed, each captured bundle serializes to identical bytes at any
 /// batch size, worker-thread count, and fleet width — the flight
