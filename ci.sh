@@ -71,8 +71,8 @@ echo "== serving observability gate =="
 # retraining rounds (boundaries at 200 and 400 of 600), so the run must
 # also complete at least one quarantine-driven model hot-swap and land
 # on generation 2. The seeded burst trips SLO alerts, so the flight
-# recorder must have captured at least one incident bundle; the first
-# one is saved for the forensic replay gate below.
+# recorder must have captured at least one incident bundle; every
+# retained bundle is saved for the forensic replay gate below.
 ./target/release/serve --samples 600 --seed 7 --shards 2 --batch 16 \
     --retrain-every 200 --linger-secs 300 \
     > "$TRACE_DIR/serve.out" 2> "$TRACE_DIR/serve.err" &
@@ -92,25 +92,49 @@ SERVE_ADDR="$(sed -n 's/^SERVE_ADDR //p' "$TRACE_DIR/serve.out")"
 cargo run --release --offline -p hmd-bench --bin obs_check -- \
     "$SERVE_ADDR" --wait-samples 1200 --expect-transitions 4 --expect-shards 2 \
     --expect-generation 2 --expect-incident --expect-history --expect-traces \
-    --save-incident "$TRACE_DIR/incident.json" --quit
+    --save-incident "$TRACE_DIR/incidents" --quit
 wait "$SERVE_PID"
 SERVE_PID=""
 
 echo "== forensic replay gate =="
-# Deterministic replay of the incident bundle captured above: rebuild
+# Deterministic replay of the incident bundles captured above: rebuild
 # the artifacts at the pinned generation(s) from the recorded seed,
 # re-classify every captured window, and gate on a byte-identical
-# verdict digest (replay exits non-zero on any divergence). The bundle
-# embeds the promoted flagged stage traces; replay round-trips them and
-# reports the count — the burst guarantees at least one. Replay also
-# re-scores every window's critic value and exits non-zero unless each
-# recorded value is bit-equal; it reports how many it checked.
-./target/release/replay "$TRACE_DIR/incident.json" --explain 4 \
+# verdict digest (replay exits non-zero on any divergence). Two bundles
+# are replayed, in shard and capture order: the first one, and the
+# first one captured under a retrained generation (>= 1), whose replay
+# must re-run the recorded fleet to rebuild the retrained models. Each
+# bundle embeds the promoted flagged stage traces; replay round-trips
+# them and reports the count — the burst guarantees at least one in the
+# first bundle. Replay also re-scores every window's critic value and
+# exits non-zero unless each recorded value is bit-equal; it reports
+# how many it checked.
+mapfile -t INCIDENTS < <(ls "$TRACE_DIR/incidents" | sort -V)
+INCIDENT="$TRACE_DIR/incidents/${INCIDENTS[0]}"
+RETRAINED=""
+for id in "${INCIDENTS[@]}"; do
+    # a bundle's own generation is the first "generation" key in it
+    gen="$(grep -o '"generation":[0-9]*' "$TRACE_DIR/incidents/$id" | sed -n '1s/.*://p')"
+    if [ "${gen:-0}" -ge 1 ]; then
+        RETRAINED="$TRACE_DIR/incidents/$id"
+        break
+    fi
+done
+[ -n "$RETRAINED" ] \
+    || { echo "ERROR: no retained incident from a retrained generation" >&2; exit 1; }
+./target/release/replay "$INCIDENT" --explain 4 \
     | tee "$TRACE_DIR/replay.out"
 grep -Eq '^REPLAY_TRACES [1-9]' "$TRACE_DIR/replay.out" \
     || { echo "ERROR: replayed bundle embeds no stage traces" >&2; exit 1; }
 grep -Eq '^REPLAY_SCORES [1-9]' "$TRACE_DIR/replay.out" \
     || { echo "ERROR: replay checked no recorded critic values" >&2; exit 1; }
+./target/release/replay "$RETRAINED" 2> "$TRACE_DIR/replay-retrained.err" \
+    | tee "$TRACE_DIR/replay-retrained.out"
+grep -q '^REPLAY_OK ' "$TRACE_DIR/replay-retrained.out" \
+    || { echo "ERROR: $RETRAINED did not replay" >&2; exit 1; }
+grep -q 're-running [0-9]*-shard fleet' "$TRACE_DIR/replay-retrained.err" \
+    || { echo "ERROR: replay of $RETRAINED never re-ran the fleet:" >&2
+         cat "$TRACE_DIR/replay-retrained.err" >&2; exit 1; }
 
 echo "== replay hostile-input gate =="
 # A bundle is untrusted input: replay must answer a malformed one with
@@ -121,13 +145,13 @@ echo "== replay hostile-input gate =="
 # generation 1 with a ~2^64-window calibration budget (past
 # MAX_CALIBRATION; the fleet re-run would calibrate for ever).
 head -c 200000 /dev/zero | tr '\0' '[' > "$TRACE_DIR/deep.json"
-sed -E 's/"batch":[0-9]+/"batch":4611686018427387904/' "$TRACE_DIR/incident.json" \
+sed -E 's/"batch":[0-9]+/"batch":4611686018427387904/' "$INCIDENT" \
     > "$TRACE_DIR/huge-batch.json"
 grep -q '"batch":4611686018427387904' "$TRACE_DIR/huge-batch.json" \
     || { echo "ERROR: the captured incident has no batch field" >&2; exit 1; }
 sed -E -e 's/"generation":[0-9]+/"generation":1/g' \
     -e 's/"calibration_samples":[0-9]+/"calibration_samples":18446744073709551000/' \
-    "$TRACE_DIR/incident.json" > "$TRACE_DIR/huge-calibration.json"
+    "$INCIDENT" > "$TRACE_DIR/huge-calibration.json"
 grep -q '"calibration_samples":18446744073709551000' "$TRACE_DIR/huge-calibration.json" \
     || { echo "ERROR: the captured incident has no calibration_samples field" >&2; exit 1; }
 for hostile in deep.json huge-batch.json huge-calibration.json; do

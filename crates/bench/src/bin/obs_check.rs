@@ -16,12 +16,12 @@
 //!
 //! `--expect-incident` validates the forensic pipeline: the
 //! `hmd_serving_incidents_total` counter must be ≥ 1, the `/incidents`
-//! index must list at least one bundle, and the first bundle fetched
+//! index must list at least one bundle, and every listed bundle fetched
 //! from `/incidents/<id>.json` must carry the current bundle schema
 //! (`hmd-incident-v3`: a traces array, and windows without per-model
 //! probabilities) with a non-empty window array. `--save-incident
-//! PATH` writes that bundle to disk so the `replay` binary can
-//! re-execute it.
+//! DIR` writes each of those bundles to `DIR/<id>.json` (creating
+//! `DIR`) so the `replay` binary can re-execute them.
 //!
 //! `--expect-history` validates `/history.json`: the tier shape
 //! (`fine_every`/`fold`), a non-empty merged fine tier, a per-shard
@@ -82,7 +82,7 @@ fn parse_args() -> Result<Args, String> {
     let Some(target) = raw.next() else {
         return Err("usage: obs_check <addr> [--wait-samples N] [--expect-transitions N] \
                     [--expect-shards N] [--expect-generation N] [--expect-incident] \
-                    [--expect-history] [--expect-traces] [--save-incident PATH] [--quit]"
+                    [--expect-history] [--expect-traces] [--save-incident DIR] [--quit]"
             .into());
     };
     let mut args = Args {
@@ -123,7 +123,7 @@ fn parse_args() -> Result<Args, String> {
             "--expect-history" => args.expect_history = true,
             "--expect-traces" => args.expect_traces = true,
             "--save-incident" => {
-                let v = raw.next().ok_or("--save-incident needs a path")?;
+                let v = raw.next().ok_or("--save-incident needs a directory")?;
                 args.save_incident = Some(v);
             }
             "--quit" => args.quit = true,
@@ -186,8 +186,8 @@ fn check_shards(page: &str, want: usize) -> Result<(), String> {
 }
 
 /// Validates the forensic pipeline: the incident counter, the
-/// `/incidents` index, and the schema of the first bundle. Optionally
-/// persists that bundle for an offline `replay` run.
+/// `/incidents` index, and the schema of every retained bundle.
+/// Optionally persists the bundles for an offline `replay` run.
 fn check_incidents(args: &Args, page: &str) -> Result<(), String> {
     let captured = series_value(page, "hmd_serving_incidents_total").unwrap_or(0.0);
     if captured < 1.0 {
@@ -210,16 +210,25 @@ fn check_incidents(args: &Args, page: &str) -> Result<(), String> {
     if total < 1.0 {
         return Err(format!("/incidents total says {total}, want >= 1"));
     }
-    let id = rows[0]
-        .get("id")
-        .and_then(Json::as_str)
-        .ok_or("/incidents rows are missing the id field")?
-        .to_owned();
-    println!(
-        "obs_check: /incidents OK ({} retained bundle(s), {total} captured, first {id})",
-        rows.len()
-    );
+    println!("obs_check: /incidents OK ({} retained bundle(s), {total} captured)", rows.len());
+    if let Some(dir) = &args.save_incident {
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
+    }
+    for row in rows {
+        let id = row.get("id").and_then(Json::as_str);
+        check_bundle(args, id.ok_or("/incidents rows are missing the id field")?)?;
+    }
 
+    let (status, _) = get(&args.addr, "/incidents/no-such-incident.json")?;
+    if status != 404 {
+        return Err(format!("unknown incident id returned {status}, want 404"));
+    }
+    Ok(())
+}
+
+/// Fetches and validates one retained bundle, saving it under
+/// `--save-incident` when given.
+fn check_bundle(args: &Args, id: &str) -> Result<(), String> {
     let (status, body) = get(&args.addr, &format!("/incidents/{id}.json"))?;
     if status != 200 {
         return Err(format!("/incidents/{id}.json returned {status}"));
@@ -251,16 +260,10 @@ fn check_incidents(args: &Args, page: &str) -> Result<(), String> {
         }
     }
     println!("obs_check: bundle {id} OK ({} windows, {} bytes)", windows.len(), body.len());
-
-    let (status, _) = get(&args.addr, "/incidents/no-such-incident.json")?;
-    if status != 404 {
-        return Err(format!("unknown incident id returned {status}, want 404"));
-    }
-
-    if let Some(path) = &args.save_incident {
-        std::fs::write(path, body.as_bytes())
+    if let Some(dir) = &args.save_incident {
+        let path = format!("{dir}/{id}.json");
+        std::fs::write(&path, body.as_bytes())
             .map_err(|e| format!("cannot write bundle to {path}: {e}"))?;
-        println!("obs_check: bundle {id} saved to {path}");
     }
     Ok(())
 }

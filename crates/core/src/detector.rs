@@ -5,14 +5,14 @@
 use hmd_ml::Classifier;
 use hmd_rl::{AdversarialPredictor, ConstraintController};
 use hmd_tabular::{Class, Dataset};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::CoreError;
 
-/// Default bound on the quarantine buffer: oldest flagged samples are
-/// evicted ring-style once the buffer would exceed this many rows.
-pub const DEFAULT_QUARANTINE_CAP: usize = 512;
+/// Bound on the quarantine ring: oldest flagged samples are evicted
+/// once the ring would exceed this many rows.
+pub const QUARANTINE_CAP: usize = 512;
 
 /// The verdict for one incoming HPC sample.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -140,22 +140,25 @@ pub struct ExplainTrace {
 /// verdict; replay and the determinism suite check the serving path
 /// against it. [`classify_into`](Self::classify_into) and
 /// [`classify`](Self::classify) are one-row wrappers over the two.
+///
+/// A detector and every generation [`next_generation`](Self::next_generation)
+/// builds from it form one lineage: they share the adversarial
+/// predictor and the quarantine ring through `Arc`s, so the ring's
+/// eviction count is the lineage's lifetime count.
 pub struct AdaptiveDetector {
-    /// Shared: retraining rounds refit the classical zoo but keep the
-    /// deployed adversarial predictor, so successive detector
-    /// generations hold the same predictor through an `Arc`.
+    /// Retraining rounds refit the classical zoo but keep the deployed
+    /// adversarial predictor.
     predictor: Arc<AdversarialPredictor>,
     controller: ConstraintController,
     models: Vec<Box<dyn Classifier>>,
     /// Feature width every classify path checks rows against — kept
     /// outside the quarantine lock so the hot path takes no extra lock.
     width: usize,
-    /// Flagged samples awaiting the next adversarial-training round.
-    quarantine: Mutex<Dataset>,
-    /// Ring bound on the quarantine; oldest rows are evicted past it.
-    quarantine_cap: AtomicUsize,
+    /// Flagged samples awaiting the next adversarial-training round,
+    /// at most [`QUARANTINE_CAP`] of them.
+    quarantine: Arc<Mutex<Dataset>>,
     /// Lifetime count of rows evicted from the quarantine ring.
-    evicted: AtomicU64,
+    evicted: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for AdaptiveDetector {
@@ -190,25 +193,6 @@ impl AdaptiveDetector {
         models: Vec<Box<dyn Classifier>>,
         feature_names: Vec<String>,
     ) -> Result<Self, CoreError> {
-        Self::with_shared_predictor(Arc::new(predictor), controller, models, feature_names)
-    }
-
-    /// Like [`new`](Self::new), but sharing an already-deployed
-    /// adversarial predictor — the retraining loop assembles each
-    /// refreshed detector generation around the same predictor
-    /// instance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Invalid`] if `models` is empty, if
-    /// `feature_names` is, or if the predictor was trained on a
-    /// different width.
-    pub fn with_shared_predictor(
-        predictor: Arc<AdversarialPredictor>,
-        controller: ConstraintController,
-        models: Vec<Box<dyn Classifier>>,
-        feature_names: Vec<String>,
-    ) -> Result<Self, CoreError> {
         if models.is_empty() {
             return Err(CoreError::Invalid("detector needs at least one model"));
         }
@@ -219,21 +203,35 @@ impl AdaptiveDetector {
         let quarantine =
             Dataset::new(feature_names).map_err(|_| CoreError::Invalid("feature names empty"))?;
         Ok(Self {
-            predictor,
+            predictor: Arc::new(predictor),
             controller,
             models,
             width,
-            quarantine: Mutex::new(quarantine),
-            quarantine_cap: AtomicUsize::new(DEFAULT_QUARANTINE_CAP),
-            evicted: AtomicU64::new(0),
+            quarantine: Arc::new(Mutex::new(quarantine)),
+            evicted: Arc::new(AtomicU64::new(0)),
         })
     }
 
-    /// A handle to the deployed adversarial predictor, for assembling
-    /// the next detector generation around it.
-    #[must_use]
-    pub fn predictor_handle(&self) -> Arc<AdversarialPredictor> {
-        Arc::clone(&self.predictor)
+    /// The next generation of this detector's lineage: `models` (refit
+    /// by a retraining round) behind the same adversarial predictor, a
+    /// clone of the constraint controller (so routing is unchanged) and
+    /// the same quarantine ring and eviction count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Invalid`] if `models` is empty.
+    pub fn next_generation(&self, models: Vec<Box<dyn Classifier>>) -> Result<Self, CoreError> {
+        if models.is_empty() {
+            return Err(CoreError::Invalid("detector needs at least one model"));
+        }
+        Ok(Self {
+            predictor: Arc::clone(&self.predictor),
+            controller: self.controller.clone(),
+            models,
+            width: self.width,
+            quarantine: Arc::clone(&self.quarantine),
+            evicted: Arc::clone(&self.evicted),
+        })
     }
 
     /// The deployed adversarial predictor, for read-only scoring of
@@ -256,53 +254,25 @@ impl AdaptiveDetector {
         &self.models
     }
 
-    /// Rebounds the quarantine ring. A cap of 0 disables eviction
-    /// (unbounded buffer); shrinking the cap below the current fill
-    /// evicts the oldest excess rows immediately, counting them like
-    /// any ring eviction.
-    pub fn set_quarantine_cap(&self, cap: usize) {
-        self.quarantine_cap.store(cap, Ordering::Relaxed);
-        if cap == 0 {
-            return;
-        }
-        let mut guard = self.quarantine_guard();
-        Self::evict_over_cap(&mut guard, cap, &self.evicted);
-    }
-
-    /// The current quarantine ring bound (0 = unbounded).
-    #[must_use]
-    pub fn quarantine_cap(&self) -> usize {
-        self.quarantine_cap.load(Ordering::Relaxed)
-    }
-
-    /// Evicts oldest-first down to `cap` rows, counting evictions.
-    fn evict_over_cap(guard: &mut Dataset, cap: usize, evicted: &AtomicU64) {
-        if guard.len() <= cap {
-            return;
-        }
-        let excess = guard.len() - cap;
-        guard.pop_front(excess);
-        evicted.fetch_add(excess as u64, Ordering::Relaxed);
-        if hmd_telemetry::enabled() {
-            hmd_telemetry::metrics::counter("serving.quarantine_evicted").add(excess as u64);
-        }
-    }
-
-    /// Lifetime count of quarantined rows evicted by the ring bound.
+    /// Lifetime count of quarantined rows evicted by the ring bound,
+    /// across every generation of this detector's lineage.
     #[must_use]
     pub fn quarantine_evicted(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    /// Quarantines one flagged row, evicting oldest-first past the cap
-    /// so a flood of adversarial traffic ages out stale samples instead
-    /// of dropping the whole buffer.
+    /// Quarantines one flagged row, evicting the oldest row past
+    /// [`QUARANTINE_CAP`] so a flood of adversarial traffic ages out
+    /// stale samples instead of dropping the whole buffer.
     fn quarantine_push(&self, row: &[f64]) -> Result<(), CoreError> {
         let mut guard = self.quarantine_guard();
         guard.push(row, Class::Adversarial).map_err(CoreError::from)?;
-        let cap = self.quarantine_cap.load(Ordering::Relaxed);
-        if cap > 0 {
-            Self::evict_over_cap(&mut guard, cap, &self.evicted);
+        if guard.len() > QUARANTINE_CAP {
+            guard.pop_front(1);
+            self.evicted.fetch_add(1, Ordering::Relaxed);
+            if hmd_telemetry::enabled() {
+                hmd_telemetry::metrics::counter("serving.quarantine_evicted").inc();
+            }
         }
         Ok(())
     }
@@ -379,11 +349,7 @@ impl AdaptiveDetector {
     #[must_use]
     pub fn warmup(&self, width: usize, max_batch: usize) -> InferArena {
         let max_batch = max_batch.max(1);
-        {
-            let mut guard = self.quarantine_guard();
-            let cap = self.quarantine_cap.load(Ordering::Relaxed);
-            guard.reserve(cap + max_batch);
-        }
+        self.quarantine_guard().reserve(QUARANTINE_CAP + max_batch);
         InferArena {
             critic: self.predictor.infer_scratch(max_batch),
             model_scratch: self.models.iter().map(|m| m.make_scratch(max_batch)).collect(),
@@ -671,48 +637,33 @@ mod tests {
             .collect();
         assert!(flagged_rows.len() >= 3, "need a few flagged rows to exercise eviction");
         let _ = detector.take_quarantine();
-        detector.set_quarantine_cap(2);
         let evicted_before = detector.quarantine_evicted();
-        for row in &flagged_rows {
+        let over = 7;
+        let pushed: Vec<&[f64]> =
+            flagged_rows.iter().copied().cycle().take(QUARANTINE_CAP + over).collect();
+        for row in &pushed {
             detector.classify(row).unwrap();
         }
-        assert_eq!(detector.quarantined(), 2);
-        assert_eq!(
-            detector.quarantine_evicted() - evicted_before,
-            flagged_rows.len() as u64 - 2
-        );
-        // the retained rows are the two newest, in insertion order
+        assert_eq!(detector.quarantined(), QUARANTINE_CAP);
+        assert_eq!(detector.quarantine_evicted() - evicted_before, over as u64);
+        // the retained rows are the newest, in insertion order
         let kept = detector.take_quarantine();
-        assert_eq!(kept.row(0).unwrap(), flagged_rows[flagged_rows.len() - 2]);
-        assert_eq!(kept.row(1).unwrap(), flagged_rows[flagged_rows.len() - 1]);
-
-        // lowering the cap below the current fill evicts immediately —
-        // the ring must never sit over-cap waiting for the next push
-        detector.set_quarantine_cap(0);
-        for row in &flagged_rows {
-            detector.classify(row).unwrap();
+        for (i, row) in pushed[over..].iter().enumerate() {
+            assert_eq!(kept.row(i).unwrap(), *row);
         }
-        assert_eq!(detector.quarantined(), flagged_rows.len());
-        let evicted_before = detector.quarantine_evicted();
-        detector.set_quarantine_cap(1);
-        assert_eq!(detector.quarantined(), 1, "shrink must evict at once");
-        assert_eq!(
-            detector.quarantine_evicted() - evicted_before,
-            flagged_rows.len() as u64 - 1
-        );
-        assert_eq!(detector.quarantine_cap(), 1);
-        let kept = detector.take_quarantine();
-        assert_eq!(kept.row(0).unwrap(), flagged_rows[flagged_rows.len() - 1]);
 
-        // the refreshed-generation constructor shares the predictor and
-        // reproduces the original verdicts
-        let rebuilt = AdaptiveDetector::with_shared_predictor(
-            detector.predictor_handle(),
-            detector.controller().clone(),
-            hmd_ml::classical_models(),
-            bundle.feature_names.clone(),
-        );
-        assert!(rebuilt.is_ok(), "shared-predictor assembly failed");
+        // the next generation shares the predictor, the routing and the
+        // ring: a row one generation quarantines, the other reads, and
+        // both report the lineage's one eviction count
+        let next = detector.next_generation(hmd_ml::classical_models()).unwrap();
+        assert!(detector.next_generation(Vec::new()).is_err());
+        assert!(std::ptr::eq(next.predictor(), detector.predictor()));
+        assert_eq!(next.controller().selected_model(), detector.controller().selected_model());
+        detector.classify(flagged_rows[0]).unwrap();
+        assert_eq!(next.quarantined(), 1);
+        assert_eq!(next.quarantine_evicted(), detector.quarantine_evicted());
+        assert_eq!(next.take_quarantine().row(0).unwrap(), flagged_rows[0]);
+        assert_eq!(detector.quarantined(), 0);
     }
 
     #[test]

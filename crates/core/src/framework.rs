@@ -283,28 +283,15 @@ impl Framework {
         }
     }
 
-    /// Phase 6: trains the three constraint agents over the five
-    /// classical models (the paper excludes the NN here) and evaluates
-    /// each agent's deployed model on the merged test set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training/evaluation failures.
-    pub fn train_controllers(
+    /// The Metric Monitor's per-model profile: latency measured on the
+    /// first 64 rows of `probe_from`, and size.
+    fn profile_models(
         &self,
-        merged_train: &Dataset,
-        merged_test: &Dataset,
-    ) -> Result<Vec<(ConstraintController, ControllerReport)>, CoreError> {
-        let _span = hmd_telemetry::span("framework.train_controllers");
-        let train_targets = merged_train.binary_targets(Class::is_attack);
-        let test_targets = merged_test.binary_targets(Class::is_attack);
-        let mut models = classical_models();
-        for model in &mut models {
-            model.fit(merged_train, &train_targets)?;
-        }
-        // Metric Monitor: measure latency and size per model
-        let probe = merged_test.subset(&(0..merged_test.len().min(64)).collect::<Vec<_>>())?;
-        let profiles: Vec<ModelProfile> = models
+        models: &[Box<dyn Classifier>],
+        probe_from: &Dataset,
+    ) -> Result<Vec<ModelProfile>, CoreError> {
+        let probe = probe_from.subset(&(0..probe_from.len().min(64)).collect::<Vec<_>>())?;
+        models
             .iter()
             .map(|m| {
                 Ok(ModelProfile {
@@ -317,13 +304,33 @@ impl Framework {
                     size_bytes: m.size_bytes(),
                 })
             })
-            .collect::<Result<_, CoreError>>()?;
+            .collect()
+    }
+
+    /// Phase 6: trains the three constraint agents over the five
+    /// classical models (the paper excludes the NN here), already fit on
+    /// `merged_train`, and evaluates each agent's deployed model on the
+    /// merged test set.
+    ///
+    /// # Errors
+    ///
+    /// Propagates training/evaluation failures.
+    pub fn train_controllers(
+        &self,
+        models: &[Box<dyn Classifier>],
+        merged_train: &Dataset,
+        merged_test: &Dataset,
+    ) -> Result<Vec<(ConstraintController, ControllerReport)>, CoreError> {
+        let _span = hmd_telemetry::span("framework.train_controllers");
+        let train_targets = merged_train.binary_targets(Class::is_attack);
+        let test_targets = merged_test.binary_targets(Class::is_attack);
+        let profiles = self.profile_models(models, merged_test)?;
 
         let mut out = Vec::with_capacity(ConstraintKind::ALL.len());
         for kind in ConstraintKind::ALL {
             let controller = ConstraintController::train(
                 kind,
-                &models,
+                models,
                 profiles.clone(),
                 merged_train,
                 &train_targets,
@@ -412,9 +419,11 @@ impl Framework {
             let _ = monitor.assess(&row.model, &row.metrics);
         }
 
-        // phase 6: constraint-aware controllers
+        // phase 6: constraint-aware controllers over the classical five
+        // (the zoo's first five models; the NN is last)
+        let classical = &defended_models[..defended_models.len() - 1];
         let controllers = self
-            .train_controllers(&merged_train, &merged_test)?
+            .train_controllers(classical, &merged_train, &merged_test)?
             .into_iter()
             .map(|(_, report)| report)
             .collect();
@@ -486,21 +495,7 @@ impl Framework {
         for model in &mut models {
             model.fit(&merged_train, &train_targets)?;
         }
-        let probe = merged_train.subset(&(0..merged_train.len().min(64)).collect::<Vec<_>>())?;
-        let profiles: Vec<ModelProfile> = models
-            .iter()
-            .map(|m| {
-                Ok(ModelProfile {
-                    name: m.name().to_owned(),
-                    latency_ms: measure_latency_ms(
-                        m.as_ref(),
-                        &probe,
-                        self.config.latency_repeats,
-                    )?,
-                    size_bytes: m.size_bytes(),
-                })
-            })
-            .collect::<Result<_, CoreError>>()?;
+        let profiles = self.profile_models(&models, &merged_train)?;
         let controller = ConstraintController::train(
             kind,
             &models,
@@ -575,6 +570,7 @@ impl Framework {
 mod tests {
     use super::*;
     use crate::config::FrameworkConfig;
+    use crate::detector::QUARANTINE_CAP;
 
     fn quick() -> Framework {
         Framework::new(FrameworkConfig::quick(11))
@@ -657,16 +653,18 @@ mod tests {
     fn retraining_round_handles_over_cap_and_just_drained_quarantine() {
         let artifacts = quick().prepare_serving(ConstraintKind::BestDetection).unwrap();
         let detector = &artifacts.detector;
-        detector.set_quarantine_cap(8);
+        // classify the adversarial pool again until its flagged rows
+        // overflow the ring
         let mut flagged = 0usize;
-        for (row, _) in &artifacts.attacks.test_result.adversarial {
-            if detector.classify(row).unwrap() == crate::Verdict::AdversarialAttack {
-                flagged += 1;
+        while flagged <= QUARANTINE_CAP {
+            for (row, _) in &artifacts.attacks.test_result.adversarial {
+                let verdict = detector.classify(row).unwrap();
+                flagged += usize::from(verdict == crate::Verdict::AdversarialAttack);
             }
+            assert!(flagged > 0, "the predictor flags no adversarial row");
         }
-        assert!(flagged > 8, "need an over-cap quarantine, flagged only {flagged}");
-        assert_eq!(detector.quarantined(), 8, "ring must hold exactly the cap");
-        assert_eq!(detector.quarantine_evicted(), (flagged - 8) as u64);
+        assert_eq!(detector.quarantined(), QUARANTINE_CAP, "ring must hold exactly the cap");
+        assert_eq!(detector.quarantine_evicted(), (flagged - QUARANTINE_CAP) as u64);
 
         let mut training = artifacts.training.clone();
         let mut models: Vec<Box<dyn Classifier>> =
@@ -676,11 +674,11 @@ mod tests {
 
         let before = training.len();
         let drained = detector.take_quarantine();
-        assert_eq!(drained.len(), 8);
+        assert_eq!(drained.len(), QUARANTINE_CAP);
         let absorbed =
             Framework::retraining_round(&mut models, &mut training, &drained).unwrap();
-        assert_eq!(absorbed, 8);
-        assert_eq!(training.len(), before + 8);
+        assert_eq!(absorbed, QUARANTINE_CAP);
+        assert_eq!(training.len(), before + QUARANTINE_CAP);
 
         // a second round right after the drain sees an empty ring: no-op
         let empty = detector.take_quarantine();
@@ -688,7 +686,7 @@ mod tests {
         let absorbed =
             Framework::retraining_round(&mut models, &mut training, &empty).unwrap();
         assert_eq!(absorbed, 0);
-        assert_eq!(training.len(), before + 8, "no-op round must not touch the set");
+        assert_eq!(training.len(), before + QUARANTINE_CAP, "no-op round must not touch the set");
     }
 
     #[test]

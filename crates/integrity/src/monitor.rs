@@ -125,6 +125,22 @@ impl MetricStatus {
     }
 }
 
+/// The metrics a [`MetricMonitor`] compares, as `(name, baseline,
+/// observed)` triples.
+fn monitored_pairs(
+    base: &BinaryMetrics,
+    observed: &BinaryMetrics,
+) -> [(&'static str, f64, f64); 6] {
+    [
+        ("accuracy", base.accuracy, observed.accuracy),
+        ("f1", base.f1, observed.f1),
+        ("tpr", base.tpr, observed.tpr),
+        ("fpr", base.fpr, observed.fpr),
+        ("tnr", base.tnr, observed.tnr),
+        ("fnr", base.fnr, observed.fnr),
+    ]
+}
+
 impl MetricMonitor {
     /// A monitor flagging metrics that deviate more than `tolerance`
     /// (absolute) from their baselines.
@@ -166,15 +182,7 @@ impl MetricMonitor {
             match baselines.get(name) {
                 None => MetricStatus::Unknown,
                 Some(base) => {
-                    let pairs: [(&'static str, f64, f64); 6] = [
-                        ("accuracy", base.accuracy, observed.accuracy),
-                        ("f1", base.f1, observed.f1),
-                        ("tpr", base.tpr, observed.tpr),
-                        ("fpr", base.fpr, observed.fpr),
-                        ("tnr", base.tnr, observed.tnr),
-                        ("fnr", base.fnr, observed.fnr),
-                    ];
-                    let deviations: Vec<MetricDeviation> = pairs
+                    let deviations: Vec<MetricDeviation> = monitored_pairs(base, observed)
                         .into_iter()
                         .filter(|(_, b, o)| (b - o).abs() > self.tolerance)
                         .map(|(metric, baseline, observed)| MetricDeviation {
@@ -224,15 +232,8 @@ impl MetricMonitor {
     pub fn is_stable(&self, name: &str, observed: &BinaryMetrics) -> Option<bool> {
         let baselines = self.baselines_read();
         let base = baselines.get(name)?;
-        let pairs = [
-            (base.accuracy, observed.accuracy),
-            (base.f1, observed.f1),
-            (base.tpr, observed.tpr),
-            (base.fpr, observed.fpr),
-            (base.tnr, observed.tnr),
-            (base.fnr, observed.fnr),
-        ];
-        Some(pairs.iter().all(|(b, o)| (b - o).abs() <= self.tolerance))
+        let pairs = monitored_pairs(base, observed);
+        Some(pairs.iter().all(|(_, b, o)| (b - o).abs() <= self.tolerance))
     }
 
     /// [`is_stable`](Self::is_stable) from raw confusion counts — the

@@ -101,33 +101,27 @@ impl HistoryPoint {
         model_latency_p95_ns: 0.0,
     };
 
-    /// Folds `other` (a later finer point) into `self`: counters sum
-    /// exactly, gauges and quantiles take the max, and the interval end
-    /// advances to `other`'s.
+    /// Folds `other` (a later finer point) into `self`: the interval end
+    /// advances to `other`'s, and the rest as in
+    /// [`combine`](Self::combine).
     fn fold_in(&mut self, other: &HistoryPoint) {
         self.sample_end = other.sample_end;
         self.t_ns = other.t_ns;
-        self.samples += other.samples;
-        self.tp += other.tp;
-        self.fn_ += other.fn_;
-        self.fp += other.fp;
-        self.tn += other.tn;
-        self.flags += other.flags;
-        self.quarantine_depth = self.quarantine_depth.max(other.quarantine_depth);
-        self.generation = self.generation.max(other.generation);
-        self.critic_sum += other.critic_sum;
-        self.latency_p50_ns = self.latency_p50_ns.max(other.latency_p50_ns);
-        self.latency_p95_ns = self.latency_p95_ns.max(other.latency_p95_ns);
-        self.latency_p99_ns = self.latency_p99_ns.max(other.latency_p99_ns);
-        self.model_latency_p95_ns = self.model_latency_p95_ns.max(other.model_latency_p95_ns);
+        self.combine(other);
     }
 
-    /// Merges a same-`sample_end` point from another shard: counters
-    /// sum, the (fleet-shared) quarantine gauge and generation take the
-    /// max, quantiles take the worst shard's value.
+    /// Merges a same-`sample_end` point from another shard: stream time
+    /// takes the later shard's, and the rest as in
+    /// [`combine`](Self::combine).
     fn merge_shard(&mut self, other: &HistoryPoint) {
         debug_assert_eq!(self.sample_end, other.sample_end);
         self.t_ns = self.t_ns.max(other.t_ns);
+        self.combine(other);
+    }
+
+    /// Counters sum exactly; gauges (the fleet-shared quarantine depth,
+    /// the generation) and quantiles take the max — the worst value.
+    fn combine(&mut self, other: &HistoryPoint) {
         self.samples += other.samples;
         self.tp += other.tp;
         self.fn_ += other.fn_;

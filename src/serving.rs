@@ -35,10 +35,15 @@
 //! database ([`Framework::retraining_round`]), refits the model zoo,
 //! re-derives the SLO calibration, re-hashes the promoted models into a
 //! [`ModelRegistry`], and atomically publishes the refreshed
-//! [`ServingArtifacts`] as the next generation. Shards rendezvous at
-//! each boundary and hot-swap their `Arc` (re-warming their inference
-//! arenas) without dropping a window; `/metrics` exposes the deployed
-//! generation and swap count.
+//! [`ServingArtifacts`] as the next generation. Every generation's
+//! detector is built by
+//! [`next_generation`](hmd_core::AdaptiveDetector::next_generation), so
+//! the whole lineage shares one quarantine ring (bounded at
+//! [`QUARANTINE_CAP`](hmd_core::detector::QUARANTINE_CAP) rows) and one
+//! lifetime eviction count. Shards rendezvous at each boundary and
+//! hot-swap their `Arc` (re-warming their inference arenas) without
+//! dropping a window; `/metrics` exposes the deployed generation and
+//! swap count.
 //!
 //! # Stream time
 //!
@@ -62,10 +67,11 @@
 //! Every session warms up a per-shard [`hmd_core::InferArena`] sized
 //! from the model topology and [`ServingConfig::batch`], and every
 //! window — [`ServingSession::step`] is a batch of one — is classified
-//! by [`AdaptiveDetector::classify_batch_into`] inside those
-//! preallocated buffers. The detector's only other decision body is
-//! the reference path, [`AdaptiveDetector::classify_explain`], which
-//! scores one row through the allocating Tensor forward pass. It stays
+//! by [`classify_batch_into`](hmd_core::AdaptiveDetector::classify_batch_into)
+//! inside those preallocated buffers. The detector's only other
+//! decision body is the reference path,
+//! [`classify_explain`](hmd_core::AdaptiveDetector::classify_explain),
+//! which scores one row through the allocating Tensor forward pass. It stays
 //! because it shares no code with the arena path but the matmul
 //! kernel: forensic replay and the determinism suite check every
 //! served verdict and critic value against it, bit for bit.
@@ -81,9 +87,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use hmd_core::framework::{PROBE_BATCH, SERVING_BASELINE};
-use hmd_core::{
-    AdaptiveDetector, CoreError, Framework, FrameworkConfig, InferArena, ServingArtifacts, Verdict,
-};
+use hmd_core::{CoreError, Framework, FrameworkConfig, InferArena, ServingArtifacts, Verdict};
 use hmd_integrity::{MetricMonitor, ModelRegistry};
 use hmd_ml::{classical_models, BinaryMetrics, Classifier, ConfusionMatrix};
 use hmd_obs::history::FINE_EVERY;
@@ -478,8 +482,9 @@ struct HubBarrier {
 /// has arrived, the retrainer drains the shared quarantine (sorted into
 /// a canonical order, because shards race pushing into the ring), runs
 /// [`Framework::retraining_round`], assembles fresh [`ServingArtifacts`]
-/// around the *shared* adversarial predictor and the *cloned*
-/// constraint controller (selection preserved; latency is never
+/// around [`next_generation`](hmd_core::AdaptiveDetector::next_generation)
+/// — the *shared* adversarial predictor and quarantine ring and the
+/// *cloned* constraint controller (selection preserved; latency is never
 /// re-profiled, which would be wall-clock and break determinism),
 /// re-derives the SLO calibration, re-hashes the promoted zoo into the
 /// [`ModelRegistry`] under its generation tag, publishes, and wakes the
@@ -501,9 +506,6 @@ pub struct ModelHub {
     swaps: AtomicU64,
     /// Quarantined rows absorbed into the training database, lifetime.
     absorbed: AtomicU64,
-    /// Eviction counts of retired detector generations, folded in at
-    /// the swap moment so the exposed total never dips.
-    evicted_carry: AtomicU64,
     registry: ModelRegistry,
     /// Clean calibration rows the per-generation recalibration passes
     /// flagged (quarantined, then discarded — see
@@ -548,7 +550,6 @@ impl ModelHub {
             generation: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
             absorbed: AtomicU64::new(0),
-            evicted_carry: AtomicU64::new(0),
             registry,
             cal_quarantined: AtomicU64::new(0),
             history: Mutex::new(if cfg.retain_generations {
@@ -592,10 +593,11 @@ impl ModelHub {
         self.absorbed.load(Ordering::Relaxed)
     }
 
-    /// Lifetime quarantine evictions across every detector generation.
+    /// Lifetime quarantine evictions across every detector generation
+    /// (they all share one ring).
     #[must_use]
     pub fn quarantine_evicted(&self) -> u64 {
-        self.evicted_carry.load(Ordering::Relaxed) + self.current().detector.quarantine_evicted()
+        self.current().detector.quarantine_evicted()
     }
 
     /// The integrity registry re-hashed at every promotion: one record
@@ -614,7 +616,10 @@ impl ModelHub {
 
     /// The artifacts that served generation `g`, when the hub retains
     /// history ([`ServingConfig::retain_generations`]); `None` for an
-    /// unknown generation or a hub that does not retain.
+    /// unknown generation or a hub that does not retain. A retained
+    /// detector still shares the live quarantine ring: classifying
+    /// through it (as forensic replay does) pushes its flagged rows
+    /// there, which matters only to a fleet that retrains further.
     #[must_use]
     pub fn artifacts_at(&self, g: u64) -> Option<Arc<ServingArtifacts>> {
         let history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
@@ -699,13 +704,7 @@ impl ModelHub {
             let drained = canonical_quarantine_order(&old.detector.take_quarantine())?;
             let mut models = classical_models();
             absorbed = Framework::retraining_round(&mut models, &mut b.training, &drained)?;
-            let detector = AdaptiveDetector::with_shared_predictor(
-                old.detector.predictor_handle(),
-                old.detector.controller().clone(),
-                models,
-                old.bundle.feature_names.clone(),
-            )?;
-            detector.set_quarantine_cap(old.detector.quarantine_cap());
+            let detector = old.detector.next_generation(models)?;
             let monitor = MetricMonitor::new(self.cal_cfg.framework.integrity_tolerance);
             let fresh = Arc::new(ServingArtifacts {
                 bundle: old.bundle.clone(),
@@ -732,15 +731,7 @@ impl ModelHub {
             // the promoted zoo is re-hashed under its generation tag
             // before any shard can serve it
             register_generation(&self.registry, &fresh, generation as u64)?;
-            {
-                let mut current = self.current.lock().unwrap_or_else(PoisonError::into_inner);
-                // the retiring detector's eviction count folds into the
-                // carry at the same moment the Arc swaps, so the
-                // exposed total never double-counts or dips
-                self.evicted_carry
-                    .fetch_add(current.detector.quarantine_evicted(), Ordering::Relaxed);
-                *current = fresh;
-            }
+            *self.current.lock().unwrap_or_else(PoisonError::into_inner) = fresh;
             self.swaps.fetch_add(1, Ordering::Relaxed);
             self.absorbed.fetch_add(absorbed as u64, Ordering::Relaxed);
             swapped = true;
@@ -1544,7 +1535,8 @@ impl ServingSession {
 /// traffic seed ([`shard_stream_seed`]; shard 0 keeps the base seed, so
 /// a one-shard fleet is byte-identical to a standalone session), its
 /// own monitor windows and alert engine, all sharing one trained
-/// [`ServingArtifacts`] — including the quarantine ring. `/metrics`
+/// [`ServingArtifacts`] — including the quarantine ring, which every
+/// later model generation shares too. `/metrics`
 /// merges the shards into aggregate series plus label-separated
 /// `hmd_serving_shard_*` series, and `/quit` stops every shard.
 #[derive(Debug)]
@@ -1582,6 +1574,10 @@ impl FleetSession {
     /// With retraining on, the [`ModelHub`] is created once shard 0
     /// calibrated, so its initial rule set is the calibration-adapted
     /// one, and its retrainer thread starts once every shard joined.
+    /// A retraining fleet empties the quarantine ring first: `artifacts`
+    /// may have served earlier runs, and every generation shares the
+    /// ring, so rows they left in it would reach this fleet's first
+    /// round.
     ///
     /// # Errors
     ///
@@ -1593,6 +1589,9 @@ impl FleetSession {
         n_shards: usize,
         artifacts: Arc<ServingArtifacts>,
     ) -> Result<Self, CoreError> {
+        if cfg.retrain_every > 0 {
+            let _ = artifacts.detector.take_quarantine();
+        }
         let mut shards: Vec<ServingSession> = Vec::with_capacity(n_shards.max(1));
         for i in 0..n_shards.max(1) {
             let mut shard_cfg = cfg.clone();
@@ -1915,14 +1914,6 @@ impl EndpointState {
         self.hub.as_ref().map_or(0, |h| h.absorbed())
     }
 
-    /// Lifetime quarantine evictions — across generations when a hub
-    /// tracks the retired detectors' counts.
-    fn quarantine_evicted(&self) -> u64 {
-        self.hub
-            .as_ref()
-            .map_or_else(|| self.artifacts.detector.quarantine_evicted(), |h| h.quarantine_evicted())
-    }
-
     /// Lifetime incidents captured across every shard.
     fn incidents_total(&self) -> u64 {
         self.shards.iter().map(|s| s.incidents_total.load(Ordering::Relaxed)).sum()
@@ -2048,25 +2039,26 @@ fn shard_snapshots(shards: &[Arc<Shared>]) -> Vec<MonitorSnapshot> {
         .collect()
 }
 
-/// Appends the shared quarantine-ring series to a rendered page: the
-/// buffer lives on the detector (one per fleet), not on a shard. Under
-/// retraining the eviction counter spans generations and the fill gauge
-/// reads the live one.
+/// Appends the quarantine-ring series to a rendered page. The ring
+/// lives on the detector, not on a shard: one per fleet, shared by every
+/// model generation, so generation 0's detector reads the live fill and
+/// the lifetime eviction count.
 fn append_quarantine_series(page: &mut String, state: &EndpointState) {
     use std::fmt::Write as _;
+    let detector = &state.artifacts.detector;
     let _ = writeln!(
         page,
         "# HELP hmd_serving_quarantine_evicted_total Quarantined rows evicted oldest-first by the ring bound.\n\
          # TYPE hmd_serving_quarantine_evicted_total counter\n\
          hmd_serving_quarantine_evicted_total {}",
-        state.quarantine_evicted()
+        detector.quarantine_evicted()
     );
     let _ = writeln!(
         page,
         "# HELP hmd_serving_quarantined Rows currently held in the quarantine ring.\n\
          # TYPE hmd_serving_quarantined gauge\n\
          hmd_serving_quarantined {}",
-        state.artifacts().detector.quarantined()
+        detector.quarantined()
     );
 }
 
@@ -2126,7 +2118,7 @@ fn live_snapshot_json(state: &EndpointState) -> Json {
         ("healthy".to_owned(), Json::Bool(healthy)),
         ("alert_transitions".to_owned(), Json::UInt(transitions)),
         ("quarantined".to_owned(), Json::UInt(artifacts.detector.quarantined() as u64)),
-        ("quarantine_evicted".to_owned(), Json::UInt(state.quarantine_evicted())),
+        ("quarantine_evicted".to_owned(), Json::UInt(artifacts.detector.quarantine_evicted())),
         ("model_generation".to_owned(), Json::UInt(state.generation())),
         ("model_swaps".to_owned(), Json::UInt(state.swaps())),
         ("retrain_absorbed".to_owned(), Json::UInt(state.absorbed())),

@@ -407,6 +407,62 @@ fn model_hot_swap_under_scrape_load() {
     fleet.finish();
 }
 
+/// The quarantine ring's bound and its eviction counter across a model
+/// swap. A one-shard fleet serving all-adversarial traffic flags more
+/// rows in its first interval than the ring holds, so at the boundary
+/// the counter reads exactly `flagged − 512`, `/metrics` and
+/// `/snapshot.json` report the same value, and the swap neither resets
+/// nor re-counts it (the drain and the recalibration evict nothing).
+#[test]
+fn quarantine_ring_overflow_counts_every_eviction_across_a_swap() {
+    const CAP: u64 = 512;
+    const EVERY: usize = 700;
+    let mut cfg = ServingConfig::quick(37);
+    cfg.samples = EVERY + 20;
+    cfg.adv_fraction = 1.0;
+    cfg.burst = None;
+    cfg.retrain_every = EVERY;
+    let mut fleet = FleetSession::start(&cfg, 1).expect("training succeeds");
+    let addr = fleet.serve_http("127.0.0.1:0", 2).expect("bind ephemeral port");
+    let hub = Arc::clone(fleet.hub().expect("retraining fleet has a hub"));
+    assert_eq!(hub.quarantine_evicted(), 0, "training and calibration overflow nothing");
+
+    // the counter as `/metrics` and `/snapshot.json` expose it
+    let exposed = || {
+        let (_, page) = get(&addr, "/metrics");
+        let metric = page
+            .lines()
+            .find_map(|l| l.strip_prefix("hmd_serving_quarantine_evicted_total "))
+            .and_then(|v| v.trim().parse::<u64>().ok());
+        let (_, body) = get(&addr, "/snapshot.json");
+        let snap = Json::parse(&body).expect("snapshot is valid JSON");
+        (metric, snap.get("quarantine_evicted").and_then(Json::as_f64))
+    };
+
+    // every sample of generation 0 served, the boundary not yet crossed
+    let session = &mut fleet.shards_mut()[0];
+    while session.outcome().processed < EVERY {
+        assert!(session.step().expect("step"), "budget exhausted early");
+    }
+    let flagged = session.outcome().verdicts[0];
+    assert!(flagged > CAP, "need an overflowing interval, flagged only {flagged}");
+    let evicted = hub.quarantine_evicted();
+    assert_eq!(evicted, flagged - CAP, "oldest-first eviction past the cap");
+    assert!(evicted > 0);
+    #[allow(clippy::cast_precision_loss)]
+    let want = (Some(evicted), Some(evicted as f64));
+    assert_eq!(exposed(), want, "/metrics and /snapshot.json agree");
+
+    // crossing the boundary drains the ring and swaps the zoo in
+    assert!(session.step().expect("step across the swap"));
+    assert_eq!(hub.generation(), 1);
+    assert_eq!(hub.swaps(), 1);
+    assert_eq!(hub.absorbed(), CAP, "the round absorbs the full ring");
+    assert_eq!(hub.quarantine_evicted(), evicted, "the swap must not move the counter");
+    assert_eq!(exposed(), want);
+    fleet.finish();
+}
+
 /// Exemplar identity: every latency-histogram exemplar names a global
 /// sample index, and with the flight recorder deep enough to retain the
 /// whole run, that index must resolve to a recorded window whose
